@@ -3,7 +3,10 @@
 Builds the five LikelihoodSpecs for replicate 0 of the default study and
 for the bundled demo fixture, evaluates ``loglik`` at a fixed grid of
 working points (including extreme log phi and logit theta) and prints one
-``float.hex()`` per line, plus each spec's ``phi_saturation_knee``.
+``float.hex()`` per line, plus each spec's ``phi_saturation_knee``. Then it
+prints the value, gradient and Hessian of ``loglik_derivatives`` at
+16 RateParams points, with the detection rate eta = 1/phi from 0
+(phi = inf) to 1e6, one number per line.
 
 Two checkouts are compared to a tolerance, not to the bit: a change that
 only reorders or merges the terms of a sum moves the last digits. With
@@ -34,6 +37,10 @@ BETA1 = (-0.5, 1.0, 2.5)
 LOG_PHI = (-800.0, -700.0, math.log(0.01), math.log(0.025), 7.4, 800.0)
 LOGIT_THETA = (-40.0, -1.4, 0.0, 2.0, 40.0)
 TOLERANCE = 1e-12
+# The derivative points: beta1 = 1 and these beta0, eta and logit theta.
+D_BETA0 = (8.8, 12.0)
+D_ETA = (0.0, 40.0, 100.0, 1e6)
+D_LOGIT_THETA = (-1.4, 2.0)
 
 
 def grid(WorkingParams, shift):
@@ -41,6 +48,12 @@ def grid(WorkingParams, shift):
     dataset's scale."""
     for b0, b1, lp, lt in itertools.product(BETA0, BETA1, LOG_PHI, LOGIT_THETA):
         yield WorkingParams(np.array([b0 + shift, b1]), lp, lt)
+
+
+def derivative_grid(RateParams, shift):
+    """The 2 x 4 x 2 = 16 derivative points, beta0 shifted as in ``grid``."""
+    for b0, eta, lt in itertools.product(D_BETA0, D_ETA, D_LOGIT_THETA):
+        yield RateParams(np.array([b0 + shift, 1.0]), eta, lt)
 
 
 def study_specs(fs):
@@ -81,7 +94,9 @@ def demo_specs(fs):
 
 
 def fingerprint(fs):
-    """The output lines: ``dataset scenario point value``."""
+    """The output lines: ``dataset scenario point value`` for ``loglik``,
+    then ``dataset scenario dpoint quantity value`` for the derivatives,
+    the quantity ``value``, ``grad<i>`` or ``hess<i>.<j>``."""
     lk = fs.likelihoods
     for name, specs, shift in (("demo", demo_specs(fs), -3.0),
                                ("study-rep0", study_specs(fs), 0.0)):
@@ -91,6 +106,14 @@ def fingerprint(fs):
                    f"{'None' if knee is None else float(knee).hex()}")
             for i, wp in enumerate(grid(lk.WorkingParams, shift)):
                 yield f"{name} {scenario} {i} {float(lk.loglik(wp, spec)).hex()}"
+            for i, rp in enumerate(derivative_grid(lk.RateParams, shift)):
+                value, grad, hess = lk.loglik_derivatives(rp, spec)
+                head = f"{name} {scenario} d{i}"
+                yield f"{head} value {float(value).hex()}"
+                for j, g in enumerate(grad):
+                    yield f"{head} grad{j} {float(g).hex()}"
+                for (j, l), h in np.ndenumerate(hess):
+                    yield f"{head} hess{j}.{l} {float(h).hex()}"
 
 
 def _values(lines):

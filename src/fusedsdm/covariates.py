@@ -95,7 +95,9 @@ class CovariateField:
 
     def covariates_at(self, pts: np.ndarray) -> np.ndarray:
         """(n, 1 + q) covariate rows, intercept included."""
-        return self.design_matrix()[self.cell_index(pts)]
+        cells = self.cell_index(pts)
+        rows = self.values.reshape(self.n_cells, self.q)[cells]
+        return np.column_stack([np.ones(len(cells)), rows])
 
 
 @dataclass(frozen=True)

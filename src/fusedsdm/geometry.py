@@ -44,6 +44,9 @@ class StudyRegion:
     mask: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.bbox())):
+            raise ConfigError(f"study region bounds must be finite, got "
+                              f"{self.bbox()}")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ConfigError("study region bounds must have positive extent")
         if self.mask is not None:
@@ -51,6 +54,8 @@ class StudyRegion:
                 raise ConfigError("mask polygon needs at least 3 vertices")
             vx = np.array([v[0] for v in self.mask])
             vy = np.array([v[1] for v in self.mask])
+            if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
+                raise ConfigError("mask polygon vertices must be finite")
             eps = 1e-9
             if (vx < self.xmin - eps).any() or (vx > self.xmax + eps).any() \
                     or (vy < self.ymin - eps).any() or (vy > self.ymax + eps).any():
@@ -123,6 +128,8 @@ class SurveyUnit:
         if self.kind not in UNIT_KINDS:
             raise ConfigError(f"unknown unit kind {self.kind!r}")
         xy = np.asarray(self.xy, dtype=float)
+        if not np.isfinite(xy).all():
+            raise ConfigError(f"unit {self.id!r} has a non-finite coordinate")
         if self.kind == TRANSECT:
             if xy.ndim != 2 or xy.shape[0] < 2 or xy.shape[1] != 2:
                 raise ConfigError(f"transect {self.id!r} needs >= 2 vertices")
@@ -196,8 +203,9 @@ class SampledRegion:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ConfigError(f"region radius for {self.unit.id!r} must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError(f"region radius for {self.unit.id!r} must be "
+                              f"finite and > 0, got {self.radius}")
 
     @property
     def is_ds(self) -> bool:

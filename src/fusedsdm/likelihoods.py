@@ -45,11 +45,16 @@ every spec of the same design inputs shares them.
 Evaluation is pure: every function is a deterministic function of the
 working parameters and the prepared data tables, with observation sums
 reduced in a fixed canonical order so results are reproducible bitwise.
+Each spec keeps the detected run sums of its last four phi values (the
+central-difference Hessian revisits three), matched on phi's bits; a kept
+sum has the bits of a fresh one, so no result depends on which phi values
+came before.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from dataclasses import dataclass, field as dc_field, replace
 from numbers import Real
@@ -292,8 +297,11 @@ class _GroupedTable:
     sum of its nodes' weights, and ``dealt`` joins such tables and deals
     their entries round-robin over the groups. With ``d2`` the nodes stay
     (``w``, ``d2``), one run per entry starting at ``first``, and each
-    evaluation first sums their w * exp(-d2/phi) per run. Every sum is
-    taken in a fixed order, so results are bitwise reproducible.
+    evaluation first sums their w * exp(-d2/phi) per run. The nodes of a
+    disk share their grid offsets, so few distinct distances recur:
+    exp(-d2/phi) is taken once per distinct value (``levels``, sorted) and
+    gathered to the nodes by ``level``. Every sum is taken in a fixed order,
+    so results are bitwise reproducible.
     """
 
     cell: np.ndarray
@@ -302,6 +310,8 @@ class _GroupedTable:
     w: np.ndarray
     d2: np.ndarray | None = None
     first: np.ndarray | None = None
+    levels: np.ndarray | None = None
+    level: np.ndarray | None = None
 
     @classmethod
     def merged(cls, w, cell, group, n_groups: int, d2=None) -> "_GroupedTable":
@@ -318,8 +328,10 @@ class _GroupedTable:
         first = np.flatnonzero(run_start)
         head = order[first]
         if d2 is not None:
-            return cls(cell[head], group[head], n_groups, w[order], d2[order],
-                       first)
+            d2 = d2[order]
+            levels, level = np.unique(d2, return_inverse=True)
+            return cls(cell[head], group[head], n_groups, w[order], d2, first,
+                       levels, level)
         return cls(cell[head], group[head], n_groups,
                    np.add.reduceat(w[order], first))
 
@@ -333,15 +345,23 @@ class _GroupedTable:
         deal = _round_robin(np.bincount(group, minlength=n_groups))
         return cls(cell[deal], group[deal], n_groups, w[deal])
 
-    def weights(self, phi: float = 1.0, order: int = 0) -> list[np.ndarray]:
+    def level_weights(self, phi: float) -> np.ndarray:
+        """exp(-d2/phi) at each distinct distance; d2 / -phi is -(d2 / phi)
+        to the bit, in one pass."""
+        return np.exp(np.divide(self.levels, -phi))
+
+    def weights(self, phi: float = 1.0, order: int = 0,
+                levels_exp: np.ndarray | None = None) -> list[np.ndarray]:
         """Per-entry weights: ``w`` without distances; with them the run
         sums of w * (-d2)^j * exp(-d2/phi) for j = 0..order, the j-th
-        derivatives in eta = 1/phi."""
+        derivatives in eta = 1/phi. ``levels_exp`` is ``level_weights(phi)``
+        when already at hand. exp of the same double gives the same bits,
+        so the sums match those of exp(-d2/phi) taken per node."""
         if self.d2 is None:
             return [self.w]
-        # d2 / -phi is -(d2 / phi) to the bit, in one pass.
-        q = np.divide(self.d2, -phi)
-        np.exp(q, out=q)
+        if levels_exp is None:
+            levels_exp = self.level_weights(phi)
+        q = levels_exp[self.level]
         q *= self.w
         out = [np.add.reduceat(q, self.first)]
         for _ in range(order):
@@ -545,6 +565,9 @@ def _point_nodes(field: CovariateField, loc: np.ndarray, first_group: int):
 
 
 _NO_NODES = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+# How many phi values' detected run sums a spec keeps: the central-difference
+# Hessian visits three, its centre and a step either side.
+_RECENT_PHI = 4
 
 
 class _Prepared:
@@ -588,6 +611,28 @@ class _Prepared:
         self.entry_X = self.X[np.concatenate([t.cell for t in tables])]
         self.observed = np.flatnonzero(n)
         self.n, self.m = n[self.observed], m[self.observed]
+        self._recent_phi = []
+
+    def detection(self, phi: float, order: int = 0) -> tuple:
+        """``detected.weights(phi, order)``, kept for the last
+        ``_RECENT_PHI`` phi values computed, told apart by their bits (0.0 from
+        -0.0). An entry keeps its level exponentials, so a higher order at
+        a kept phi adds the run sums without taking exp again. Entries are
+        replaced, never changed, and their arrays are read-only: threads
+        racing on one spec can only lose an entry and compute it again."""
+        key = struct.pack("d", phi)
+        recent = self._recent_phi
+        hit = next((entry for entry in recent if entry[0] == key), None)
+        if hit is not None and len(hit[2]) > order:
+            return hit[2]
+        levels_exp = (self.detected.level_weights(phi) if hit is None
+                      else hit[1])
+        sums = tuple(self.detected.weights(phi, order, levels_exp))
+        for a in (levels_exp, *sums):
+            a.flags.writeable = False
+        self._recent_phi = [(key, levels_exp, sums)] + [
+            entry for entry in recent if entry[0] != key][:_RECENT_PHI - 1]
+        return sums
 
     def _by_cell(self, spec, regions):
         """Groups are the sampled partition cells; the data add no
@@ -670,8 +715,9 @@ def loglik_terms(wp: WorkingParams | RateParams,
     phi, theta = wp.phi, _sigmoid(wp.logit_theta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.exp(p.X @ wp.beta)
-        mu = (p.detected.sums(lam, phi) + p.undetected.sums(lam)
-              + theta * p.captured.sums(lam))
+        mu = (p.detected.group_sums(p.detection(phi)[0]
+                                    * lam[p.detected.cell])
+              + p.undetected.sums(lam) + theta * p.captured.sums(lam))
     return _terms(p, mu, phi)
 
 
@@ -693,7 +739,7 @@ def loglik_derivatives(rp: RateParams, spec: LikelihoodSpec):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.exp(p.X @ rp.beta)
         lam_d, lam_u, lam_c = (lam[t.cell] for t in tables)
-        w0, w1, w2 = p.detected.weights(rp.phi, 2)
+        w0, w1, w2 = p.detection(rp.phi, 2)
         D, U, T = w0 * lam_d, p.undetected.w * lam_u, p.captured.w * lam_c
         mu = (p.detected.group_sums(D) + p.undetected.group_sums(U)
               + theta * p.captured.group_sums(T))

@@ -193,10 +193,9 @@ def aggregate_counts(obs: ObservationSet, partitions: PartitionGrid,
     so totals are conserved and land only in sampled cells.
     """
     counts = np.zeros(partitions.n_cells, dtype=int)
-    ref_cell = {
-        r.unit.id: int(partitions.cell_index(r.unit.reference_point[None, :])[0])
-        for r in design.regions
-    }
+    points = np.array([r.unit.reference_point for r in design.regions])
+    ref_cell = dict(zip((r.unit.id for r in design.regions),
+                        partitions.cell_index(points.reshape(-1, 2)).tolist()))
     for uid in (*obs.ds_unit, *obs.cr_unit):
         if uid not in ref_cell:
             raise DataError(f"unknown unit id {uid!r}")

@@ -71,6 +71,19 @@ class TestEvaluate:
         b = toy_field.covariates_at(np.array([[0.59, 0.59]]))[0]
         assert np.array_equal(a, b)
 
+    def test_rows_of_the_design_matrix(self):
+        """covariates_at gathers each location's row of design_matrix, to
+        the bit."""
+        rng = np.random.default_rng(3)
+        field = CovariateField(0.1, -0.2, 0.3, 0.25,
+                               rng.normal(0.0, 1.0, (4, 5, 2)))
+        pts = np.column_stack([rng.uniform(0.1, 1.6, 50),
+                               rng.uniform(-0.2, 0.8, 50)])
+        got = field.covariates_at(pts)
+        want = field.design_matrix()[field.cell_index(pts)]
+        assert got.shape == want.shape == (50, 3)
+        assert got.tobytes() == want.tobytes()
+
     def test_out_of_region_errors(self, toy_field):
         with pytest.raises(DataError):
             toy_field.covariates_at(np.array([[1.4, 0.5]]))

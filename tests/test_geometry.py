@@ -315,6 +315,21 @@ class TestDesignFile:
         with pytest.raises(DataError, match=r":2: unit 'p1' needs a single"):
             load_design(path)
 
+    def test_nan_coordinate_names_line(self, tmp_path):
+        path = tmp_path / "design.csv"
+        path.write_text("id,kind,radius,geometry\n"
+                        "p1,point,0.04,0.5 0.5\nnet05,trap,0.045,nan 0.3\n")
+        with pytest.raises(DataError,
+                           match=r":3: unit 'net05' has a non-finite"):
+            load_design(path)
+
+    def test_infinite_radius_names_line(self, tmp_path):
+        path = tmp_path / "design.csv"
+        path.write_text("id,kind,radius,geometry\np1,point,inf,0.5 0.5\n")
+        with pytest.raises(DataError, match=r":2: region radius for 'p1' "
+                                            r"must be finite"):
+            load_design(path)
+
 
 class TestInvariantsAndValidation:
     def test_transect_needs_two_vertices(self):
@@ -328,6 +343,35 @@ class TestInvariantsAndValidation:
     def test_positive_radius_required(self):
         with pytest.raises(ConfigError):
             SampledRegion(point_unit(0.5, 0.5), 0.0)
+
+    @pytest.mark.parametrize("kind, xy", [
+        ("point", [0.5, math.nan]),
+        ("trap", [math.inf, 0.5]),
+        ("transect", [[0.2, 0.5], [-math.inf, 0.5]]),
+        ("transect", [[0.2, 0.5], [0.4, 0.5], [math.nan, math.nan]]),
+    ])
+    def test_nonfinite_coordinates_rejected(self, kind, xy):
+        with pytest.raises(ConfigError, match="non-finite coordinate"):
+            SurveyUnit("u", kind, np.array(xy))
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_finite_radius_required(self, radius):
+        with pytest.raises(ConfigError, match="must be finite and > 0"):
+            SampledRegion(point_unit(0.5, 0.5), radius)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 0.0, math.inf, 1.0),
+        (-math.inf, 0.0, 1.0, 1.0),
+        (0.0, -math.inf, 1.0, math.inf),
+    ])
+    def test_finite_study_bounds_required(self, bounds):
+        with pytest.raises(ConfigError, match="bounds must be finite"):
+            StudyRegion(*bounds)
+
+    def test_finite_mask_required(self):
+        with pytest.raises(ConfigError, match="vertices must be finite"):
+            StudyRegion(0, 0, 1, 1, mask=((0.0, 0.0), (1.0, math.nan),
+                                          (0.0, 1.0)))
 
     def test_strip_membership_excludes_beyond_ends(self):
         reg = SampledRegion(transect_unit([[0.2, 0.5], [0.5, 0.5]]), 0.1)

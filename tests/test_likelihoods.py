@@ -4,6 +4,9 @@ calculations, and structural invariants."""
 import dataclasses
 import gc
 import math
+import struct
+import sys
+import threading
 import warnings
 import weakref
 
@@ -1169,3 +1172,184 @@ def _draw_data(truth, inputs, rng):
     return {"obs": obs, "partial": partial,
             "counts": aggregate_counts(partial, inputs["partitions"],
                                        inputs["design"])}
+
+
+# Detection rates for the kernel tests: eta = 0 (phi = inf), rates whose
+# phi differ in the last bits (1 / 50 is 0.02 to 12 decimals for the
+# three), a negative rate, and eta = +-inf (phi = 0.0 and -0.0).
+KERNEL_ETAS = (0.0, 50.0, math.nextafter(50.0, math.inf), 50.0 * (1 + 1e-12),
+               -50.0, 400.0, math.inf, -math.inf)
+# log phi = -800 underflows phi to 0.
+KERNEL_LOG_PHIS = (-800.0, math.log(0.02), 7.4)
+
+
+def _hex(*values):
+    """The bits of floats and arrays, NaN-aware: equal NaNs compare equal,
+    and 0.0 differs from -0.0."""
+    return [float(v).hex() for value in values
+            for v in np.ravel(np.asarray(value, dtype=float))]
+
+
+def _evaluate(spec, step):
+    """One kernel-test step: (working, index, order, beta0). A working
+    step is loglik_terms at KERNEL_LOG_PHIS[index]; a rate step is
+    loglik_terms (order 0) or loglik_derivatives (order 2) at
+    KERNEL_ETAS[index]."""
+    working, index, order, beta0 = step
+    beta = np.array([beta0, 0.7])
+    if working:
+        terms = loglik_terms(WorkingParams(beta, KERNEL_LOG_PHIS[index], 0.4),
+                             spec)
+        return _hex(terms.observation, terms.exposure)
+    rp = RateParams(beta, KERNEL_ETAS[index], 0.4)
+    if order == 0:
+        terms = loglik_terms(rp, spec)
+        return _hex(terms.observation, terms.exposure)
+    return _hex(*loglik_derivatives(rp, spec))
+
+
+def _kernel_steps():
+    working = st.tuples(st.just(True),
+                        st.integers(0, len(KERNEL_LOG_PHIS) - 1),
+                        st.just(0), st.sampled_from((2.0, 3.0)))
+    rate = st.tuples(st.just(False), st.integers(0, len(KERNEL_ETAS) - 1),
+                     st.sampled_from((0, 2)), st.sampled_from((2.0, 3.0)))
+    return st.lists(st.one_of(working, rate), min_size=1, max_size=14)
+
+
+def _node_weights(table, phi, order):
+    """The detected run sums taken per node, in the kernel's order of
+    operations: exp(d2 / -phi) times w, then times -d2 per order."""
+    q = np.exp(np.divide(table.d2, -phi)) * table.w
+    out = [np.add.reduceat(q, table.first)]
+    for _ in range(order):
+        q = q * -table.d2
+        out.append(np.add.reduceat(q, table.first))
+    return out
+
+
+class TestDetectionKernel:
+    """The detected tables take exp(-d2/phi) once per distinct distance,
+    and each spec keeps the run sums of its last four phi values; neither
+    moves a bit."""
+
+    @pytest.mark.parametrize("native", (True, False))
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(max_examples=25, deadline=None)
+    @given(steps=_kernel_steps())
+    def test_warm_spec_matches_cold_evaluations(self, scenario, native, steps,
+                                                toy_field, toy_design,
+                                                toy_region, toy_partitions,
+                                                toy_data):
+        """Any sequence of points, repeated phi and order 0 then order 2 at
+        one phi included, gives at each point the bits of an evaluation
+        with nothing kept."""
+        spec = make_toy_spec(scenario, toy_field, toy_design, toy_region,
+                             toy_partitions, toy_data, native)
+        cold = dataclasses.replace(spec)
+        for step in steps:
+            got = _evaluate(spec, step)
+            cold.prepared()._recent_phi = []
+            assert got == _evaluate(cold, step), step
+            kept = spec.prepared()._recent_phi
+            assert len(kept) <= 4
+            assert len({key for key, *_ in kept}) == len(kept)
+
+    @pytest.mark.parametrize("native", (True, False))
+    @settings(max_examples=30, deadline=None)
+    @given(phi=st.one_of(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan))))
+    def test_weights_match_node_level_reference(self, native, phi,
+                                                toy_field, toy_design,
+                                                toy_region, toy_partitions,
+                                                toy_data):
+        for scenario in ("complete", "aggregated-farr", "aggregated-cos"):
+            table = make_toy_spec(scenario, toy_field, toy_design, toy_region,
+                                  toy_partitions, toy_data,
+                                  native).prepared().detected
+            with np.errstate(all="ignore"):
+                got = table.weights(phi, 2)
+                want = _node_weights(table, phi, 2)
+            assert _hex(*got) == _hex(*want)
+
+    @pytest.mark.parametrize("native", (True, False))
+    def test_levels_are_the_distinct_node_distances(self, native, toy_field,
+                                                    toy_design, toy_region,
+                                                    toy_partitions, toy_data):
+        detected = make_toy_spec("fused-region", toy_field, toy_design,
+                                 toy_region, toy_partitions, toy_data,
+                                 native).prepared().detected
+        assert (np.diff(detected.levels) > 0).all()
+        assert detected.levels[detected.level].tobytes() == \
+            detected.d2.tobytes()
+        assert len(detected.levels) < len(detected.d2)
+
+    def test_threads_sharing_a_spec_get_cold_bits(self, toy_field,
+                                                 toy_design, toy_region,
+                                                 toy_partitions, toy_data):
+        """Four threads cycle one spec through six phi values, so entries
+        are evicted and rebuilt while the others read: every result has
+        the bits of a cold evaluation."""
+        spec = make_toy_spec("fused-distance", toy_field, toy_design,
+                             toy_region, toy_partitions, toy_data, False)
+        cold = dataclasses.replace(spec)
+        steps = [(False, i, order, 3.0) for i in (0, 1, 2, 5, 6, 7)
+                 for order in (0, 2)]
+        want = []
+        for step in steps:
+            cold.prepared()._recent_phi = []
+            want.append(_evaluate(cold, step))
+        spec.prepared()
+        failures = []
+
+        def run(shift):
+            for k in range(120):
+                j = (k + shift) % len(steps)
+                if _evaluate(spec, steps[j]) != want[j]:
+                    failures.append(steps[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(s,))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(spec.prepared()._recent_phi) <= 4
+
+    def test_kept_arrays_are_read_only(self, toy_specs):
+        prep = toy_specs["fused-distance"].prepared()
+        sums = prep.detection(0.02, 2)
+        _, levels_exp, kept = prep._recent_phi[0]
+        assert kept is sums
+        for array in (levels_exp, *sums):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_order_two_extends_a_kept_phi(self, toy_specs, monkeypatch):
+        """Order 2 at a phi kept at order 0 reuses its level exponentials;
+        a fifth phi evicts the oldest."""
+        prep = dataclasses.replace(toy_specs["complete"]).prepared()
+        calls = []
+        level_weights = _GroupedTable.level_weights
+        monkeypatch.setattr(_GroupedTable, "level_weights",
+                            lambda self, phi: calls.append(phi)
+                            or level_weights(self, phi))
+        assert len(prep.detection(0.02)) == 1
+        assert len(prep.detection(0.02, 2)) == 3
+        assert prep.detection(0.02) is prep.detection(0.02, 2)
+        assert calls == [0.02]
+        for phi in (0.03, 0.04, 0.05, 0.06):
+            prep.detection(phi)
+        assert [struct.unpack("d", key)[0] for key, *_ in prep._recent_phi] \
+            == [0.06, 0.05, 0.04, 0.03]
+        prep.detection(0.02)
+        assert calls == [0.02, 0.03, 0.04, 0.05, 0.06, 0.02]

@@ -212,6 +212,31 @@ class TestDegradeAndAggregate:
         assert counts[cell] == 3
         assert counts.sum() == 3
 
+    def test_aggregate_per_unit_reference_cells(self, toy_data,
+                                                toy_partitions, toy_design):
+        """Each observation lands in its unit's reference-point cell, as
+        one cell_index call per unit puts it."""
+        partial = toy_data["partial"]
+        want = np.zeros(toy_partitions.n_cells, dtype=int)
+        for uid in (*partial.ds_unit, *partial.cr_unit):
+            ref = toy_design.region_by_id(uid).unit.reference_point
+            want[toy_partitions.cell_index(ref[None, :])[0]] += 1
+        got = aggregate_counts(partial, toy_partitions, toy_design)
+        assert got.tolist() == want.tolist()
+
+    def test_aggregate_unknown_unit_rejected(self, toy_partitions,
+                                             toy_design):
+        obs = ObservationSet(ds_unit=np.array(["nowhere"], dtype=object),
+                             ds_distance=np.array([0.01]),
+                             cr_unit=np.array([], dtype=object))
+        with pytest.raises(DataError, match="unknown unit id 'nowhere'"):
+            aggregate_counts(obs, toy_partitions, toy_design)
+
+    def test_aggregate_on_an_empty_design(self, toy_partitions):
+        counts = aggregate_counts(ObservationSet.empty(), toy_partitions,
+                                  SurveyDesign(()))
+        assert (counts == 0).all()
+
 
 class TestObservationFile:
     def test_round_trip_with_locations(self, toy_data, tmp_path):
