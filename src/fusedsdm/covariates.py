@@ -34,6 +34,10 @@ class CovariateField:
             raise ConfigError("field values must have shape (ny, nx, q)")
         if not np.isfinite(self.values).all():
             raise ConfigError("field values must all be finite")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.dx, self.dy))):
+            raise ConfigError(f"field origin and cell sizes must be finite, "
+                              f"got x0={self.x0}, y0={self.y0}, "
+                              f"dx={self.dx}, dy={self.dy}")
         if self.dx <= 0 or self.dy <= 0:
             raise ConfigError("cell sizes must be positive")
 
@@ -138,19 +142,24 @@ def simulate_grf(region: StudyRegion, cfg: GPConfig,
     dy = region.height / ny
     xs = region.xmin + (np.arange(nx) + 0.5) * dx
     ys = region.ymin + (np.arange(ny) + 0.5) * dy
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-
     kx = np.linspace(region.xmin, region.xmax, cfg.n_knots)
     ky = np.linspace(region.ymin, region.ymax, cfg.n_knots)
-    kgx, kgy = np.meshgrid(kx, ky)
-    knots = np.column_stack([kgx.ravel(), kgy.ravel()])
 
-    d2 = ((centers[:, None, :] - knots[None, :, :]) ** 2).sum(axis=2)
-    K = np.exp(-0.5 * d2 / cfg.kernel_range ** 2)
+    # Squared distance of cell (row j, column i) to knot (row l, column m)
+    # at [j * nx + i, l * n + m], from the axis vectors: a sum of two
+    # squares has the bits of the row sum over an (x, y) difference. Both
+    # terms are laid out over all knots first, so that the broadcast sum
+    # runs along rows of n * n.
+    n = cfg.n_knots
+    K = np.tile((xs[:, None] - kx) ** 2, n)[None, :, :] \
+        + np.repeat((ys[:, None] - ky) ** 2, n, axis=1)[:, None, :]
+    K = K.reshape(nx * ny, n * n)
+    K *= -0.5
+    K /= cfg.kernel_range ** 2
+    np.exp(K, out=K)
 
     rng = np.random.default_rng(cfg.seed)
-    coeff = rng.standard_normal(len(knots))
+    coeff = rng.standard_normal(n * n)
     raw = K @ coeff
     raw -= raw.mean()
     # Rescale the centered draw to the target spatial sd. A near-flat
@@ -176,11 +185,27 @@ def _read_one_raster(path):
     header = {}
     pos = 0
     while pos + 1 < len(tokens) and tokens[pos].lower() in _HEADER_KEYS:
-        header[tokens[pos].lower()] = float(tokens[pos + 1])
+        key, text = tokens[pos].lower(), tokens[pos + 1]
+        try:
+            header[key] = float(text)
+        except ValueError:
+            raise DataError(f"{path}: header {key} {text!r} is not a number") \
+                from None
         pos += 2
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise DataError(f"{path}: malformed header, missing {', '.join(missing)}")
+    for key in ("ncols", "nrows"):
+        if not (header[key] >= 1 and header[key].is_integer()):
+            raise DataError(f"{path}: header {key} must be a positive "
+                            f"integer, got {header[key]!r}")
+    for key in ("xll", "yll", "cellsize"):
+        if not math.isfinite(header[key]):
+            raise DataError(f"{path}: header {key} must be finite, got "
+                            f"{header[key]!r}")
+    if header["cellsize"] <= 0:
+        raise DataError(f"{path}: header cellsize must be positive, got "
+                        f"{header['cellsize']!r}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     body = tokens[pos:]
     if len(body) != ncols * nrows:

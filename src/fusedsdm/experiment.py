@@ -31,6 +31,7 @@ from .geometry import (
     SurveyUnit,
     build_partitions,
     check_nonoverlap,
+    overlap_pairs,
 )
 from .likelihoods import (
     SCENARIO_COMPLETE,
@@ -87,27 +88,31 @@ def build_study_design(seed: int = 0) -> SurveyDesign:
 
 
 def _repair_overlaps(design: SurveyDesign) -> SurveyDesign:
-    """Push apart any overlapping disk pairs along their connecting line."""
-    regions = list(design.regions)
+    """Push apart any overlapping disk pairs along their connecting line.
+
+    Each sweep finds the overlapping pairs, then pushes them apart one by
+    one in pair order, each from the positions the pushes before it left;
+    the regions are rebuilt once, after the last sweep.
+    """
+    regions = design.regions
+    xy = np.array([r.unit.xy for r in regions], dtype=float).reshape(-1, 2)
+    radius = np.array([r.radius for r in regions], dtype=float)
+    moved = np.zeros(len(regions), dtype=bool)
     for _ in range(_REPAIR_SWEEPS):
-        ok, pairs = check_nonoverlap(SurveyDesign(tuple(regions)))
-        if ok:
-            return SurveyDesign(tuple(regions))
-        by_id = {r.unit.id: i for i, r in enumerate(regions)}
-        for ia, ib in ((by_id[a], by_id[b]) for a, b in pairs):
-            ra, rb = regions[ia], regions[ib]
-            delta = rb.unit.xy - ra.unit.xy
+        pairs = overlap_pairs(xy, radius)
+        if not len(pairs[0]):
+            return SurveyDesign(tuple(
+                SampledRegion(SurveyUnit(r.unit.id, r.unit.kind, xy[k].copy()),
+                              r.radius) if moved[k] else r
+                for k, r in enumerate(regions)))
+        for ia, ib in zip(*(p.tolist() for p in pairs)):
+            delta = xy[ib] - xy[ia]
             d = float(np.sqrt((delta ** 2).sum()))
             direction = delta / d if d > 0 else np.array([1.0, 0.0])
-            need = (ra.radius + rb.radius - d) / 2 + 1e-6
-            regions[ia] = SampledRegion(
-                SurveyUnit(ra.unit.id, ra.unit.kind,
-                           np.clip(ra.unit.xy - need * direction, 0.0, 1.0)),
-                ra.radius)
-            regions[ib] = SampledRegion(
-                SurveyUnit(rb.unit.id, rb.unit.kind,
-                           np.clip(rb.unit.xy + need * direction, 0.0, 1.0)),
-                rb.radius)
+            need = (radius[ia] + radius[ib] - d) / 2 + 1e-6
+            xy[ia] = np.clip(xy[ia] - need * direction, 0.0, 1.0)
+            xy[ib] = np.clip(xy[ib] + need * direction, 0.0, 1.0)
+        moved[pairs[0]] = moved[pairs[1]] = True
     raise ConfigError("could not repair design overlaps")
 
 

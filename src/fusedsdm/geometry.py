@@ -557,65 +557,99 @@ def build_partitions(region: StudyRegion, nx: int, ny: int,
     if nx < 1 or ny < 1:
         raise ConfigError("partition counts must be >= 1")
     grid = PartitionGrid(region, nx, ny, sampled=None)
-    sampled = np.zeros(grid.n_cells, dtype=bool)
     step = 0.25 * min(grid.cell_width, grid.cell_height)
+    pts = [np.zeros((0, 2))]
     for unit in design.units:
         if unit.kind == TRANSECT:
             verts = unit.xy
-            pts = [verts[0]]
+            pts.append(verts[:1])
             for i in range(len(verts) - 1):
                 seg = verts[i + 1] - verts[i]
                 ell = float(np.sqrt(seg @ seg))
                 n = max(1, int(math.ceil(ell / step)))
                 t = (np.arange(1, n + 1)) / n
                 pts.append(verts[i] + t[:, None] * seg)
-            pts = np.vstack([np.atleast_2d(p) for p in pts])
         else:
-            pts = unit.xy[None, :]
-        sampled[grid.cell_index(pts)] = True
+            pts.append(unit.xy[None, :])
+    sampled = np.zeros(grid.n_cells, dtype=bool)
+    sampled[grid.cell_index(np.vstack(pts))] = True
     return PartitionGrid(region, nx, ny, sampled=sampled)
 
 
-# Rows of the pair triangle that check_nonoverlap tests in one pass.
-_OVERLAP_ROWS = 64
+def overlap_pairs(xy, radius, regions=None) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j in (i, j) order, of overlapping
+    regions: disks centred at the rows of ``xy`` with ``radius``, or, where
+    ``regions`` holds a strip, that strip. Regions that touch overlap.
+
+    Disk pairs are exact; a pair with a strip takes the distance to the
+    polyline, slightly conservative past a transect's ends. Only pairs
+    whose bounding boxes meet are tested, found by one sweep over the boxes
+    sorted by their lower x edge; the boxes are padded by a margin far
+    above rounding, so every overlapping pair is among them.
+    """
+    n = len(radius)
+    if n < 2:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    lo = xy - radius[:, None]
+    hi = xy + radius[:, None]
+    strip = np.zeros(n, dtype=bool)
+    if regions is not None:
+        strip[:] = [r.unit.kind == TRANSECT for r in regions]
+        for k in np.flatnonzero(strip):
+            lo[k], hi[k] = _bounds(regions[k])
+    pad = 1e-9 * max(np.abs(lo).max(), np.abs(hi).max())
+    lo -= pad
+    hi += pad
+    # Box p of the sorted order meets in x the boxes q > p whose lower x
+    # edge is at most its upper one: counts[p] of them, q = p + 1, ....
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    counts = np.searchsorted(lo[:, 0], hi[:, 0], side="right") \
+        - np.arange(1, n + 1)
+    # Rows p in blocks of about n such pairs, so that memory grows with the
+    # number of regions, not of pairs.
+    ends = np.cumsum(counts)
+    blocks = np.split(np.arange(n), np.searchsorted(
+        ends, np.arange(n, ends[-1], n), side="right"))
+    hits = []
+    for rows in blocks:
+        c = counts[rows]
+        p = np.repeat(rows, c)
+        q = np.arange(len(p)) + np.repeat(rows + 1 - (np.cumsum(c) - c), c)
+        meet = (lo[q, 1] <= hi[p, 1]) & (lo[p, 1] <= hi[q, 1])
+        a, b = order[p[meet]], order[q[meet]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        d = np.sqrt(((xy[i] - xy[j]) ** 2).sum(axis=1))
+        for k in np.flatnonzero(strip[i] | strip[j]):
+            d[k] = _strip_distance(regions[i[k]], regions[j[k]])
+        hit = d <= radius[i] + radius[j]
+        hits.append((i[hit], j[hit]))
+    i, j = (np.concatenate(h) for h in zip(*hits))
+    back = np.lexsort((j, i))
+    return i[back], j[back]
+
+
+def _strip_distance(a: SampledRegion, b: SampledRegion) -> float:
+    """The distance between the units of a pair with a strip: from the
+    disk's centre to the polyline, or the least vertex-to-polyline distance
+    of two polylines either way."""
+    strip, other = (a, b) if a.unit.kind == TRANSECT else (b, a)
+    if other.unit.kind == TRANSECT:
+        return min(float(distance_to_unit(strip.unit.xy, other.unit).min()),
+                   float(distance_to_unit(other.unit.xy, strip.unit).min()))
+    return float(distance_to_unit(other.unit.xy, strip.unit))
 
 
 def check_nonoverlap(design: SurveyDesign) -> tuple[bool, list[tuple[str, str]]]:
     """True when all sampled regions are pairwise disjoint, with the
-    overlapping pairs (i < j in design order).
-
-    Disk-disk pairs are exact and tested in array passes over blocks of
-    rows; pairs involving a strip use distance to the polyline, which is
-    slightly conservative past a transect's ends.
-    """
+    overlapping pairs (i < j in design order); see ``overlap_pairs``."""
     regions = design.regions
-    n = len(regions)
-    is_strip = np.array([r.unit.kind == TRANSECT for r in regions],
-                        dtype=bool)
     xy = np.array([(0.0, 0.0) if r.unit.kind == TRANSECT else r.unit.xy
                    for r in regions], dtype=float).reshape(-1, 2)
     radius = np.array([r.radius for r in regions], dtype=float)
-    offending = []
-    # The pairs (i, j > i) of _OVERLAP_ROWS rows of i at a time, in row
-    # order, so that memory grows with the number of regions, not pairs.
-    for lo in range(0, n, _OVERLAP_ROWS):
-        rows = np.arange(lo, min(lo + _OVERLAP_ROWS, n))
-        i, j = np.nonzero(rows[:, None] < np.arange(n))
-        i += lo
-        d = np.sqrt(((xy[i] - xy[j]) ** 2).sum(axis=1))
-        for p in np.flatnonzero(is_strip[i] | is_strip[j]):
-            a, b = regions[i[p]], regions[j[p]]
-            strip, other = (a, b) if a.unit.kind == TRANSECT else (b, a)
-            if other.unit.kind == TRANSECT:
-                d[p] = min(
-                    float(distance_to_unit(strip.unit.xy, other.unit).min()),
-                    float(distance_to_unit(other.unit.xy, strip.unit).min()),
-                )
-            else:
-                d[p] = float(distance_to_unit(other.unit.xy, strip.unit))
-        hit = np.flatnonzero(d <= radius[i] + radius[j])
-        offending += [(regions[i[p]].unit.id, regions[j[p]].unit.id)
-                      for p in hit]
+    i, j = overlap_pairs(xy, radius, regions)
+    offending = [(regions[a].unit.id, regions[b].unit.id)
+                 for a, b in zip(i.tolist(), j.tolist())]
     return (len(offending) == 0, offending)
 
 

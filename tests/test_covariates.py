@@ -1,5 +1,7 @@
 """Covariate fields: GP simulation, evaluation, raster round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,51 @@ class TestSimulateGRF:
         region = StudyRegion.unit_square()
         field = simulate_grf(region, GPConfig(seed=5), 0.02)
         assert abs(field.values.mean()) < 1e-12
+
+
+def _reference_grf(region, cfg, grid_resolution):
+    """simulate_grf with the squared distances summed over the last axis of
+    the (cells, knots, 2) cube of cell-to-knot differences."""
+    nx = max(1, int(round(region.width / grid_resolution)))
+    ny = max(1, int(round(region.height / grid_resolution)))
+    dx, dy = region.width / nx, region.height / ny
+    xs = region.xmin + (np.arange(nx) + 0.5) * dx
+    ys = region.ymin + (np.arange(ny) + 0.5) * dy
+    gx, gy = np.meshgrid(xs, ys)
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    kgx, kgy = np.meshgrid(np.linspace(region.xmin, region.xmax, cfg.n_knots),
+                           np.linspace(region.ymin, region.ymax, cfg.n_knots))
+    knots = np.column_stack([kgx.ravel(), kgy.ravel()])
+    d2 = ((centers[:, None, :] - knots[None, :, :]) ** 2).sum(axis=2)
+    K = np.exp(-0.5 * d2 / cfg.kernel_range ** 2)
+    coeff = np.random.default_rng(cfg.seed).standard_normal(len(knots))
+    raw = K @ coeff
+    raw -= raw.mean()
+    pointwise = math.sqrt(float((K ** 2).sum(axis=1).mean()))
+    sd_raw = float(raw.std())
+    if sd_raw > 1e-4 * pointwise:
+        raw *= cfg.marginal_sd / sd_raw
+    else:
+        raw *= cfg.marginal_sd / pointwise
+    return raw.reshape(ny, nx, 1), dx, dy
+
+
+class TestSimulateGRFBits:
+    @pytest.mark.parametrize("region", (
+        StudyRegion.unit_square(), StudyRegion(0.3, -1.2, 2.1, 0.1),
+        StudyRegion(-5.0, 2.0, -4.2, 3.1)))
+    @pytest.mark.parametrize("n_knots", (2, 5, 8, 13))
+    def test_matches_difference_cube(self, region, n_knots):
+        """Every bit of the field, on offset and non-square regions."""
+        for resolution in (0.05, 0.02, 0.013):
+            for seed in (0, 1):
+                cfg = GPConfig(n_knots=n_knots, kernel_range=0.15 * (seed + 1),
+                               seed=seed)
+                field = simulate_grf(region, cfg, resolution)
+                values, dx, dy = _reference_grf(region, cfg, resolution)
+                assert field.values.tobytes() == values.tobytes()
+                assert (field.x0, field.y0, field.dx, field.dy) == (
+                    region.xmin, region.ymin, dx, dy)
 
 
 class TestEvaluate:
@@ -148,6 +195,28 @@ class TestRasterIO:
         with pytest.raises(DataError):
             ingest_raster([path])
 
+    @pytest.mark.parametrize("key,value,text", (
+        ("xll", "nan", "header xll must be finite, got nan"),
+        ("yll", "-inf", "header yll must be finite, got -inf"),
+        ("cellsize", "inf", "header cellsize must be finite, got inf"),
+        ("cellsize", "0", "header cellsize must be positive, got 0.0"),
+        ("ncols", "2.5", "header ncols must be a positive integer, got 2.5"),
+        ("ncols", "nan", "header ncols must be a positive integer, got nan"),
+        ("nrows", "0", "header nrows must be a positive integer, got 0.0"),
+        ("nrows", "two", "header nrows 'two' is not a number"),
+    ))
+    def test_bad_header_value_names_file_and_key(self, tmp_path, key, value,
+                                                 text):
+        header = {"ncols": "2", "nrows": "2", "xll": "0.0", "yll": "0.0",
+                  "cellsize": "0.5", "nodata": "-9999"}
+        header[key] = value
+        path = tmp_path / "bad.asc"
+        path.write_text("".join(f"{k} {v}\n" for k, v in header.items())
+                        + "1 1\n1 1\n")
+        with pytest.raises(DataError) as exc:
+            ingest_raster([path])
+        assert str(exc.value) == f"{path}: {text}"
+
     def test_write_read_round_trip(self, tmp_path, toy_field):
         path = tmp_path / "rt.asc"
         write_raster(toy_field, path)
@@ -177,6 +246,13 @@ class TestValidation:
     def test_negative_gp_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
             GPConfig(seed=-2)
+
+    @pytest.mark.parametrize("grid", (
+        (math.nan, 0.0, 0.5, 0.5), (0.0, math.inf, 0.5, 0.5),
+        (0.0, 0.0, math.nan, 0.5), (0.0, 0.0, 0.5, math.inf)))
+    def test_field_rejects_nonfinite_grid(self, grid):
+        with pytest.raises(ConfigError, match="must be finite"):
+            CovariateField(*grid, np.zeros((2, 2, 1)))
 
     def test_field_rejects_nonfinite(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Study harness: design builder, bookkeeping, determinism, reports."""
 
 import csv
+import importlib.util
 import math
 import multiprocessing
 import os
@@ -8,10 +9,12 @@ import os
 import numpy as np
 import pytest
 
+import fusedsdm
 from fusedsdm.covariates import GPConfig, simulate_grf
 from fusedsdm.errors import ConfigError
 from fusedsdm.experiment import (
     StudyConfig,
+    _repair_overlaps,
     build_study_design,
     coverage,
     emit_reports,
@@ -20,7 +23,13 @@ from fusedsdm.experiment import (
     summarize,
     true_abundance,
 )
-from fusedsdm.geometry import StudyRegion, check_nonoverlap
+from fusedsdm.geometry import (
+    SampledRegion,
+    StudyRegion,
+    SurveyDesign,
+    SurveyUnit,
+    check_nonoverlap,
+)
 from fusedsdm.pointprocess import ModelParams
 
 
@@ -34,6 +43,81 @@ def small_config(**kwargs):
                     quadrature=QuadratureSettings(spacing_fraction=0.1))
     defaults.update(kwargs)
     return StudyConfig(**defaults)
+
+
+SCALE_PROBE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                           "scripts", "scale_probe.py")
+
+
+@pytest.fixture(scope="module")
+def scale_probe():
+    spec = importlib.util.spec_from_file_location("scale_probe", SCALE_PROBE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_repair(design):
+    """The repair as a loop that rebuilds the regions at every push and
+    tests all pairs of disks at every sweep."""
+    regions = list(design.regions)
+    for _ in range(50):
+        xy = np.array([r.unit.xy for r in regions])
+        radius = np.array([r.radius for r in regions])
+        i, j = np.triu_indices(len(regions), 1)
+        d = np.sqrt(((xy[i] - xy[j]) ** 2).sum(axis=1))
+        hit = np.flatnonzero(d <= radius[i] + radius[j])
+        if not len(hit):
+            return SurveyDesign(tuple(regions))
+        for ia, ib in zip(i[hit], j[hit]):
+            ra, rb = regions[ia], regions[ib]
+            delta = rb.unit.xy - ra.unit.xy
+            d = float(np.sqrt((delta ** 2).sum()))
+            direction = delta / d if d > 0 else np.array([1.0, 0.0])
+            need = (ra.radius + rb.radius - d) / 2 + 1e-6
+            regions[ia] = SampledRegion(
+                SurveyUnit(ra.unit.id, ra.unit.kind,
+                           np.clip(ra.unit.xy - need * direction, 0.0, 1.0)),
+                ra.radius)
+            regions[ib] = SampledRegion(
+                SurveyUnit(rb.unit.id, rb.unit.kind,
+                           np.clip(rb.unit.xy + need * direction, 0.0, 1.0)),
+                rb.radius)
+    raise ConfigError("could not repair design overlaps")
+
+
+def _coordinates(design):
+    return [(r.unit.id, r.unit.kind, r.radius, r.unit.xy.tobytes())
+            for r in design.regions]
+
+
+class TestRepairOverlaps:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_study_design_matches_sweep_loop(self, scale_probe, seed):
+        lattice = scale_probe.scaled_design(fusedsdm, seed, 1)
+        repaired = _coordinates(_repair_overlaps(lattice))
+        assert repaired == _coordinates(_reference_repair(lattice))
+        assert repaired == _coordinates(build_study_design(seed))
+
+    @pytest.mark.parametrize("factor,seed", ((2, 0), (2, 1), (4, 0)))
+    def test_scaled_lattices_match_sweep_loop(self, scale_probe, factor,
+                                              seed):
+        """320 and 1,280 units, with radii and jitter divided by 2 and 4."""
+        lattice = scale_probe.scaled_design(fusedsdm, seed, factor)
+        assert len(lattice.regions) == 80 * factor ** 2
+        assert _coordinates(_repair_overlaps(lattice)) \
+            == _coordinates(_reference_repair(lattice))
+
+    def test_unrepairable_design_is_config_error(self):
+        """Two disks of radius 0.8 cannot both fit apart in the unit
+        square; the repair gives up after its sweeps."""
+        design = SurveyDesign(tuple(
+            SampledRegion(SurveyUnit(f"p{k}", "point", np.array([x, 0.5])),
+                          0.8) for k, x in enumerate((0.4, 0.6))))
+        with pytest.raises(ConfigError, match="could not repair"):
+            _repair_overlaps(design)
+        with pytest.raises(ConfigError, match="could not repair"):
+            _reference_repair(design)
 
 
 class TestStudyDesign:

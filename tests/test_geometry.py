@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusedsdm import geometry
 from fusedsdm.errors import ConfigError, DataError
 from fusedsdm.geometry import (
     SampledRegion,
@@ -117,6 +116,46 @@ class TestAreaRule:
             errors.append(abs(measure[0] - reg.measure))
         assert all(e2 <= e1 for e1, e2 in zip(errors, errors[1:]))
         assert errors[-1] < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("disk", "strip", "masked disk")),
+           radius=st.floats(0.02, 0.2), cut=st.floats(-0.9, 0.9),
+           data=st.data())
+    def test_totals_approach_the_measure_as_spacing_halves(self, kind,
+                                                           radius, cut,
+                                                           data):
+        """A disk's midpoint-rule total is within one cell area per cell
+        its boundary crosses (at most 4 L / h + 4 of them, boundary length
+        L, spacing h) of its area, so the error falls with h; a disk cut
+        by a mask converges to the analytic area of the part kept, and a
+        strip's per-segment grids tile it exactly."""
+        centre = st.floats(radius, 1.0 - radius)
+        cx, cy = data.draw(centre), data.draw(centre)
+        within = None
+        if kind == "strip":
+            turn = data.draw(st.floats(-1.0, 1.0))
+            reg = SampledRegion(transect_unit(
+                [[cx - 0.3, cy], [cx, cy], [cx + 0.2, cy + 0.2 * turn]]),
+                radius)
+            area, boundary = reg.measure, 0.0
+        else:
+            reg = SampledRegion(point_unit(cx, cy), radius)
+            area, boundary = reg.measure, 2 * math.pi * radius
+            if kind == "masked disk":
+                # Keep the part of the disk left of x = cx + cut * radius.
+                delta = cut * radius
+                edge = cx + delta
+                within = StudyRegion(0.0, 0.0, 1.0, 1.0, mask=(
+                    (0.0, 0.0), (edge, 0.0), (edge, 1.0), (0.0, 1.0)))
+                area -= (radius ** 2 * math.acos(cut)
+                         - delta * math.sqrt(radius ** 2 - delta ** 2))
+                boundary += 2 * math.sqrt(radius ** 2 - delta ** 2)
+        for h in (radius / 4, radius / 8, radius / 16, radius / 32):
+            *_, measure = region_nodes([reg], spacing=[h], within=within)
+            if kind == "strip":
+                assert measure[0] == pytest.approx(area, rel=1e-12)
+            else:
+                assert abs(measure[0] - area) <= h * (4 * boundary + 4 * h)
 
     def test_clipped_to_study_region(self):
         reg = SampledRegion(point_unit(0.0, 0.5), 0.1)
@@ -259,12 +298,27 @@ class TestCheckNonoverlap:
         assert not ok and pairs
         assert peak < 40e6
 
+    def test_memory_of_a_column_design(self):
+        """1,500 traps on one vertical line: every pair's boxes meet in x,
+        1.1 million of them, and the check stays below 10 MB."""
+        design = SurveyDesign(tuple(
+            SampledRegion(trap_unit(0.5, (k + 0.5) / 1500, f"t{k}"), 1e-4)
+            for k in range(1500)))
+        tracemalloc.start()
+        try:
+            ok, pairs = check_nonoverlap(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and not pairs
+        assert peak < 10e6
+
     @pytest.mark.parametrize("seed", (0, 1))
     def test_row_blocks_match_per_row_reference(self, seed):
-        """Designs of several blocks of rows, transects among them."""
+        """Designs of 199 units, transects among them."""
         rng = np.random.default_rng(seed)
         regions = []
-        for k in range(3 * geometry._OVERLAP_ROWS + 7):
+        for k in range(199):
             kind = str(rng.choice(["point", "trap", "transect"],
                                   p=[0.45, 0.45, 0.1]))
             a = rng.uniform(0.0, 1.0, 2)
@@ -505,6 +559,30 @@ def _designs(draw):
 
 
 @st.composite
+def _large_designs(draw):
+    """Up to 300 points, traps and transects on a 1/32 lattice, shifted by
+    an offset that rounds their coordinates or by none, with radii in 1/64
+    steps: many pairs touch exactly, and disks sit on the unit square's
+    edges."""
+    n = draw(st.integers(0, 300))
+    offset = draw(st.sampled_from((0.0, -0.3, 1e6 / 3)))
+    share = draw(st.sampled_from((0.0, 0.03, 0.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    regions = []
+    for k in range(n):
+        xy = rng.integers(0, 33, 2) / 32
+        kind = str(rng.choice(["point", "trap"]))
+        if rng.random() < share:
+            steps = rng.integers(-4, 5, (rng.integers(1, 3), 2))
+            steps[(steps == 0).all(axis=1)] = (1, 0)
+            xy = np.vstack([xy, xy + np.cumsum(steps, axis=0) / 32])
+            kind = "transect"
+        regions.append(SampledRegion(SurveyUnit(f"u{k}", kind, xy + offset),
+                                     rng.integers(1, 7) / 64))
+    return SurveyDesign(tuple(regions))
+
+
+@st.composite
 def _within(draw):
     """No clipping, the unit square, or the unit square masked by a
     polygon."""
@@ -538,6 +616,12 @@ class TestArrayPasses:
     def test_nonoverlap_matches_per_pair_loop(self, design):
         assert check_nonoverlap(design) == _reference_nonoverlap(design)
 
+    @settings(max_examples=12, deadline=None)
+    @given(design=_large_designs())
+    def test_nonoverlap_of_large_designs_matches_per_pair_loop(self, design):
+        """The sweep over bounding boxes misses no pair of the loop."""
+        assert check_nonoverlap(design) == _reference_nonoverlap(design)
+
     def test_nonoverlap_touching_disks_overlap(self):
         """Regions that touch count as overlapping, as in the loop."""
         design = SurveyDesign((
@@ -546,6 +630,19 @@ class TestArrayPasses:
             SampledRegion(trap_unit(0.5, 0.625, "c"), 0.25),
         ))
         assert check_nonoverlap(design) == (False, [("a", "b")])
+
+    def test_nonoverlap_boxes_apart_by_rounding(self):
+        """Disks whose distance rounds to their radius sum, while their
+        bounding boxes, rounded on their own, lie apart."""
+        a = SampledRegion(point_unit(0.25657651975640827, 0.5, "a"),
+                          0.0835517546862419)
+        b = SampledRegion(trap_unit(0.4221398237796159, 0.5, "b"),
+                          0.08201154933696571)
+        assert a.bbox()[2] < b.bbox()[0]
+        for design in (SurveyDesign((a, b)), SurveyDesign((b, a))):
+            ok, pairs = check_nonoverlap(design)
+            assert not ok
+            assert (ok, pairs) == _reference_nonoverlap(design)
 
     @settings(max_examples=100, deadline=None)
     @given(disks=_disks(), within=_within(), native=st.booleans(),
