@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .geometry import StudyRegion
 
+# Kernel entries simulate_grf squares at a time (no second full-size array).
+_GRF_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class CovariateField:
@@ -166,7 +169,9 @@ def simulate_grf(region: StudyRegion, cfg: GPConfig,
     # kernel leaves essentially no spatial variation to rescale; amplifying
     # numerical residue there would be nonsense, so such draws keep their
     # (near-constant) raw scale.
-    pointwise = math.sqrt(float((K ** 2).sum(axis=1).mean()))
+    rows = max(1, _GRF_BLOCK // (n * n))
+    sq = [(K[i:i + rows] ** 2).sum(axis=1) for i in range(0, len(K), rows)]
+    pointwise = math.sqrt(float(np.concatenate(sq).mean()))
     sd_raw = float(raw.std())
     if sd_raw > 1e-4 * pointwise:
         raw *= cfg.marginal_sd / sd_raw

@@ -41,8 +41,6 @@ from .pointprocess import ModelParams
 _Z95 = 1.959963984540054
 # Half-width of the uniform jitter around the start of each further run.
 _START_JITTER = 1.0
-# Relative central-difference step of the covariance's Hessian.
-_HESSIAN_STEP = 1e-4
 # theta is searched as q, theta = (1 + 2 eps) sigmoid(q) - eps (_theta_of).
 _THETA_EPS = 1e-3
 
@@ -199,6 +197,9 @@ def _q_of(theta: float) -> float:
 # The reported logit theta of theta = 0 and 1. sigmoid(-30) = 9.4e-14, so
 # theta * T there is within float noise of its value at the bound.
 _LOGIT_STAND_INS = tuple(_round_trip(x, _sigmoid, _logit) for x in (-30.0, 30.0))
+# q's lower end, where theta is 0. At _q_of(0.0) theta is 2.2e-19, which a
+# capture does not forbid and from which q's Newton steps are below one ulp.
+_Q_ZERO = float(np.nextafter(_q_of(0.0), -np.inf))
 
 
 def _invert_at_bound(H: np.ndarray, held: list) -> np.ndarray | None:
@@ -279,7 +280,7 @@ def fit(spec: LikelihoodSpec, start: WorkingParams | None = None,
         z = profiled(np.r_[x[:k], math.log1p(math.exp(min(-x[k], 700.0))
                                              / unit), _q_of(_sigmoid(x[-1]))])[0]
         free = knee is not None
-        lo = np.r_[np.full(k, -np.inf), 0.0 if free else z[k], _q_of(0.0)]
+        lo = np.r_[np.full(k, -np.inf), 0.0 if free else z[k], _Q_ZERO]
         hi = np.r_[np.full(k, np.inf), math.inf if free else z[k], _q_of(1.0)]
         return projected_newton(profiled, derivatives, z, lo, hi,
                                 max_iter=settings.max_iter)
@@ -311,8 +312,7 @@ def fit(spec: LikelihoodSpec, start: WorkingParams | None = None,
         scale = np.r_[np.ones(k), unit, 1.0]
         x = np.r_[z[:k], u, logit_theta]
         H = numerical_hessian(
-            lambda v: -loglik(RateParams.from_vector(v * scale), spec), x,
-            step=_HESSIAN_STEP * np.maximum(1.0, np.abs(x)))
+            lambda v: -loglik(RateParams.from_vector(v * scale), spec), x)
         if theta_held:
             H[k + 1, k + 1] = -loglik_derivatives(
                 RateParams(z[:k], eta, _logit(theta)), spec)[2][k + 1, k + 1]

@@ -115,14 +115,12 @@ def nelder_mead(objective, start, *, max_iter: int = 2000) -> NelderMeadResult:
                             converged, reason, trace)
 
 
-def numerical_hessian(objective, point, step=None) -> np.ndarray:
-    """Central second differences, symmetrized as (H + H')/2."""
+def numerical_hessian(objective, point) -> np.ndarray:
+    """Central second differences with step 1e-4 * max(1, |x_i|) along
+    coordinate i, symmetrized as (H + H')/2."""
     x = np.asarray(point, dtype=float)
     n = len(x)
-    if step is None:
-        step = 1e-4 * np.maximum(1.0, np.abs(x))
-    else:
-        step = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+    step = 1e-4 * np.maximum(1.0, np.abs(x))
     H = np.empty((n, n))
     f0 = float(objective(x))
     for i in range(n):
@@ -159,12 +157,12 @@ def projected_newton(value, derivatives, x, lo, hi, *, max_iter: int = 100):
     that have a closed-form minimum given the rest moved there. Each
     iteration holds the coordinates at a bound whose gradient points out of
     the box, and those whose Newton step would cross their bound, which
-    step onto it; the rest take the Newton step on that face. A step is
-    halved until it descends enough (Armijo), then doubled while it keeps
-    descending. Coordinates with lo == hi stay put. Returns (x, value,
-    iterations, reason): "converged" once the predicted decrease is below
-    ``_GAIN_TOL * max(1, |value|)``, else "no descent", "non-finite
-    derivatives" or "max-iter".
+    step onto it; the rest take the Newton step on that face. The full
+    step is tried first and halved until it descends enough (Armijo).
+    Coordinates with lo == hi stay put. Returns (x, value, iterations,
+    reason): "converged" once the predicted decrease is below ``_GAIN_TOL
+    * max(1, |value|)``, else "no descent", "non-finite derivatives" or
+    "max-iter".
     """
     movable = lo < hi
     f, g, H = derivatives(x)
@@ -193,11 +191,6 @@ def projected_newton(value, derivatives, x, lo, hi, *, max_iter: int = 100):
             step /= 2.0
         else:
             return x, f, it, "no descent"
-        while step >= 1.0:
-            wider, f_wider = value(np.clip(x + 2.0 * step * d, lo, hi))
-            if not f_wider < f_trial:
-                break
-            step, trial, f_trial = 2.0 * step, wider, f_wider
         x = trial
         f, g, H = derivatives(x)
     return x, f, max_iter, "max-iter"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fusedsdm import covariates
 from fusedsdm.covariates import (
     CovariateField,
     GPConfig,
@@ -95,6 +96,24 @@ class TestSimulateGRFBits:
                 assert field.values.tobytes() == values.tobytes()
                 assert (field.x0, field.y0, field.dx, field.dy) == (
                     region.xmin, region.ymin, dx, dy)
+
+    @pytest.mark.parametrize("rows", (1, 7, 777))
+    def test_row_blocks_keep_every_bit(self, rows, monkeypatch):
+        """The squared kernel summed in blocks of any number of rows, the
+        last one short, gives the bits of the whole-array sum. A near-flat
+        kernel (range 1e3) takes its scale from that sum."""
+        region = StudyRegion(0.3, -1.2, 2.1, 0.1)
+        for n_knots, kernel_range in ((5, 0.15), (8, 0.15), (8, 1e3)):
+            cfg = GPConfig(n_knots=n_knots, kernel_range=kernel_range, seed=3)
+            monkeypatch.setattr(covariates, "_GRF_BLOCK", rows * n_knots ** 2)
+            field = simulate_grf(region, cfg, 0.013)
+            values, _, _ = _reference_grf(region, cfg, 0.013)
+            assert field.values.tobytes() == values.tobytes()
+
+    def test_default_study_field_is_one_block(self):
+        """The study's 100 x 100 grid with 8 x 8 knots takes one block, so
+        its set-up squares the kernel once, as a whole-array sum does."""
+        assert covariates._GRF_BLOCK // GPConfig().n_knots ** 2 >= 100 * 100
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import ndtri
 
@@ -18,7 +19,7 @@ from fusedsdm.covariates import (
     region_of,
     simulate_grf,
 )
-from fusedsdm.errors import ConfigError
+from fusedsdm.errors import ConfigError, DataError
 from fusedsdm.estimation import (
     _Z95,
     FitSettings,
@@ -30,10 +31,18 @@ from fusedsdm.estimation import (
     wald_ci,
 )
 from fusedsdm.experiment import StudyConfig, _build_spec, build_study_design
-from fusedsdm.geometry import StudyRegion, build_partitions, load_design
+from fusedsdm.geometry import (
+    SampledRegion,
+    StudyRegion,
+    SurveyDesign,
+    SurveyUnit,
+    build_partitions,
+    load_design,
+)
 from fusedsdm.likelihoods import (
     SCENARIO_ORDER,
     LikelihoodSpec,
+    QuadratureSettings,
     RateParams,
     WorkingParams,
     design_tables,
@@ -541,6 +550,53 @@ class TestProjectedNewton:
             assert np.abs(g[~at_lo & ~at_hi]).max(initial=0.0) < 1e-8
             assert (g[at_lo] >= -1e-8).all() and (g[at_hi] <= 1e-8).all()
 
+    def test_full_newton_step_is_the_only_trial_on_a_quadratic(self):
+        """On a strictly convex quadratic whose minimum lies inside the
+        box, the full Newton step lands on the minimum and meets Armijo at
+        once: one value call, and convergence at the second iteration."""
+        A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.5]])
+        b = np.array([1.0, -2.0, 0.5])
+        lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+        trials = []
+
+        def value(x):
+            trials.append(x.copy())
+            return x, 0.5 * x @ A @ x - b @ x
+
+        def derivatives(x):
+            return 0.5 * x @ A @ x - b @ x, A @ x - b, A
+
+        x, _, it, reason = projected_newton(value, derivatives, np.zeros(3),
+                                            lo, hi)
+        assert (reason, it, len(trials)) == ("converged", 2, 1)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
+
+    def test_a_full_step_that_fails_armijo_is_halved(self):
+        """sum sqrt(1 + x^2) is convex, but its Newton step -x(1 + x^2)
+        overshoots from |x| > 1: the full step is tried and refused, and
+        halving still reaches the minimum at 0."""
+        lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+        trials = []
+
+        def f(x):
+            return float(np.sqrt(1.0 + x * x).sum())
+
+        def value(x):
+            trials.append((x.copy(), f(x)))
+            return x, f(x)
+
+        def derivatives(x):
+            r = np.sqrt(1.0 + x * x)
+            return f(x), x / r, np.diag(r ** -3)
+
+        start = np.array([2.0, -3.0])
+        x, _, it, reason = projected_newton(value, derivatives, start, lo, hi)
+        assert reason == "converged"
+        np.testing.assert_allclose(trials[0][0], np.clip(-start ** 3, lo, hi))
+        assert trials[0][1] > f(start)
+        assert len(trials) > it - 1
+        assert np.abs(x).max() < 1e-8
+
 
 class TestFitSettings:
     """A setting that ``fit`` would ignore or crash on is refused by name."""
@@ -611,3 +667,130 @@ class TestTracedNames:
                 replicates=1, grid_resolution=0.05,
                 fit_settings=FitSettings()))
             assert calls == {"fit": 5, "LikelihoodSpec": 5}
+
+
+# The random designs' 3 x 3 lattice of cells, one unit at most per cell.
+_CELL = 1.0 / 3.0
+
+
+@st.composite
+def random_designs(draw):
+    """A region, possibly masked below a sloping line, and a design of
+    points, transects and traps, at least one of them a DS unit and one a
+    trap. Each unit lies in its own cell of a 3 x 3 lattice, so no two
+    overlap, with its reference point inside the region; the mask may cut
+    off part of it."""
+    top = draw(st.one_of(st.none(), st.tuples(st.floats(0.4, 1.0),
+                                              st.floats(0.4, 1.0))))
+    region = StudyRegion(0.0, 0.0, 1.0, 1.0, mask=None if top is None else (
+        (0.0, 0.0), (1.0, 0.0), (1.0, top[1]), (0.0, top[0])))
+    units = []
+    for cell in range(9):
+        kind = draw(st.sampled_from((None, "point", "transect", "trap")))
+        if kind is None:
+            continue
+        cx, cy = (cell % 3 + 0.5) * _CELL, (cell // 3 + 0.5) * _CELL
+        radius = draw(st.floats(0.02, 0.08))
+        half = draw(st.floats(0.02, 0.06)) if kind == "transect" else 0.0
+        room = _CELL / 2 - radius - half - 0.01
+        x = cx + draw(st.floats(-room, room))
+        y = cy + draw(st.floats(-room, room))
+        if kind == "transect":
+            turn = draw(st.floats(-1.0, 1.0))
+            xy = np.array([[x - half, y - half * turn], [x, y],
+                           [x + half, y + half * turn]])
+        else:
+            xy = np.array([x, y])
+        if region.contains(np.array([x, y]))[0]:
+            units.append(SampledRegion(
+                SurveyUnit(f"{kind[0]}{cell}", kind, xy), radius))
+    kinds = {r.unit.kind for r in units}
+    assume("trap" in kinds and kinds & {"point", "transect"})
+    return region, SurveyDesign(tuple(units))
+
+
+def _fit_random_design(region, design, seed, beta1, phi, theta):
+    """One simulated dataset on ``design`` and each scenario's fit of it, or
+    the ConfigError or DataError that the fit raised."""
+    rng = np.random.default_rng(seed)
+    field = CovariateField(0.0, 0.0, 0.1, 0.1,
+                           rng.normal(0.0, 1.0, (10, 10, 1)))
+    truth = ModelParams(np.array([8.0, beta1]), phi, theta)
+    partitions = build_partitions(region, 4, 4, design)
+    obs = simulate_observation(simulate_ippp(truth, field, region, rng),
+                               design, truth, rng)
+    partial = degrade_to_partial(obs)
+    counts = aggregate_counts(partial, partitions, design)
+    results = {}
+    for scenario in SCENARIO_ORDER:
+        try:
+            results[scenario] = fit(_build_spec(
+                scenario, design, field, region, partitions,
+                QuadratureSettings(), obs, partial, counts))
+        except (ConfigError, DataError) as exc:
+            results[scenario] = exc
+    return obs, results
+
+
+class TestRandomDesigns:
+    @settings(max_examples=10, deadline=None)
+    @given(setup=random_designs(), seed=st.integers(0, 2 ** 16),
+           beta1=st.floats(-1.0, 1.0), phi=st.sampled_from((0.002, 0.02)),
+           theta=st.floats(0.2, 0.8))
+    def test_every_scenario_fits_or_names_a_unit(self, setup, seed, beta1,
+                                                 phi, theta):
+        """simulate -> LikelihoodSpec -> fit ends with a finite loglik in
+        all five scenarios, or with a ConfigError or DataError that names
+        one of the design's units."""
+        region, design = setup
+        ids = [r.unit.id for r in design.regions]
+        _, results = _fit_random_design(region, design, seed, beta1, phi,
+                                        theta)
+        for scenario, result in results.items():
+            if isinstance(result, Exception):
+                assert any(f"'{uid}'" in str(result) for uid in ids), result
+            else:
+                assert math.isfinite(result.loglik), (scenario,
+                                                      result.message)
+
+    def test_one_capture_leaves_the_lower_theta_bound(self):
+        """A design the property above drew: 183 DS detections and one
+        capture. The first Newton step of the complete and fused-distance
+        fits crosses q's lower bound and steps onto it. There theta has to
+        be 0, so that the capture makes -loglik infinite in effect and the
+        step is refused; at theta = 2.2e-19 (_q_of(0.0) through _theta_of)
+        the step was taken and q could not move again (complete ended "no
+        descent" 27 below the maximum)."""
+        def unit(uid, kind, xy, radius):
+            return SampledRegion(SurveyUnit(uid, kind, np.array(xy)), radius)
+
+        design = SurveyDesign((
+            unit("t0", "transect", [[0.12666666666666665, 0.16666666666666666],
+                                    [0.16666666666666666, 0.16666666666666666],
+                                    [0.20666666666666667, 0.16666666666666666]],
+                 0.022094856185399175),
+            unit("t1", "transect", [[0.41943127818056736, 0.1230116812424264],
+                                    [0.45923042550224036, 0.1520334072585527],
+                                    [0.49902957282391336, 0.18105513327467898]],
+                 0.02),
+            unit("t2", "transect", [[0.8140282821363396, 0.10656266240319817],
+                                    [0.8599668614467854, 0.14790738378259938],
+                                    [0.9059054407572311, 0.18925210516200058]],
+                 0.07341507743949302),
+            unit("t4", "transect", [[0.45932317511712023, 0.5355258515551119],
+                                    [0.4999999999999998, 0.5343920919498487],
+                                    [0.5406768248828793, 0.5332583323445855]],
+                 0.08),
+            unit("t5", "trap", [0.8054609610789202, 0.4932105517395978], 0.02),
+            unit("p8", "point", [0.8920306038458394, 0.7738863633954687],
+                 0.07143587962608397)))
+        obs, results = _fit_random_design(
+            StudyRegion.unit_square(), design, 993, 0.6275845986593844, 0.02,
+            0.5387162826227287)
+        assert (obs.n_ds, obs.n_cr) == (183, 1)
+        assert all(r.converged for r in results.values()), {
+            s: r.message for s, r in results.items()}
+        for s in ("complete", "fused-distance"):
+            assert 0.1 < results[s].params.theta < 0.2
+        assert results["complete"].loglik == pytest.approx(1337.7614, abs=1e-3)
+        assert estimation._theta_of(estimation._Q_ZERO) == 0.0
