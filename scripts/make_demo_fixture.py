@@ -1,15 +1,16 @@
 """Regenerate the bundled transect + mist-net demo dataset.
 
 Writes design.csv, covariate.asc, observations.csv, pattern.csv, and the
-simulate config under tests/fixtures/demo/. Deterministic. The paths in
-the config and the run manifest are relative to the repository root, so
-the config runs from there:
+simulate config under tests/fixtures/demo/, or under ``--out``.
+Deterministic. The default paths in the config and the run manifest are
+relative to the repository root, so the config runs from there:
 
     python3 scripts/make_demo_fixture.py
     fusedsdm simulate --config tests/fixtures/demo/simulate_config.json \
         --out /tmp/sim
 """
 
+import argparse
 import json
 import os
 import sys
@@ -64,10 +65,13 @@ def build_design() -> SurveyDesign:
     return design
 
 
-def run() -> None:
+def run(out: str = OUT) -> None:
+    # A given directory is taken from the caller's; the default stays
+    # relative to the repository root.
+    out = OUT if out == OUT else os.path.abspath(out)
     os.chdir(ROOT)
-    os.makedirs(OUT, exist_ok=True)
-    design_path = os.path.join(OUT, "design.csv")
+    os.makedirs(out, exist_ok=True)
+    design_path = os.path.join(out, "design.csv")
     save_design(build_design(), design_path)
     config = {
         "design": design_path,
@@ -77,9 +81,9 @@ def run() -> None:
         "grid_resolution": 0.02,
         "truth": {"beta": [6.2, 0.8], "phi": 0.002, "theta": 0.85},
         "seed": 314,
-        "out": OUT,
+        "out": out,
     }
-    config_path = os.path.join(OUT, "simulate_config.json")
+    config_path = os.path.join(out, "simulate_config.json")
     with open(config_path, "w") as fh:
         json.dump(config, fh, indent=2)
         fh.write("\n")
@@ -89,4 +93,8 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    run()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=OUT,
+                        help="directory to write the fixture into (default: "
+                             "%(default)s, relative to the repository root)")
+    run(parser.parse_args().out)

@@ -31,6 +31,7 @@ from .estimation import FitSettings, fit
 from .experiment import (
     StudyConfig,
     _scenario_data,
+    _write_json,
     build_study_design,
     emit_reports,
     run_study,
@@ -269,10 +270,7 @@ def cmd_fit(cfg: dict) -> int:
     result = fit(spec, settings=_section_from(cfg, "fit", FitSettings()))
 
     os.makedirs(out_dir, exist_ok=True)
-    report = result.report()
-    with open(os.path.join(out_dir, "fit_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "fit_report.json"), result.report())
     text = _format_fit_table(cfg["scenario"], result)
     with open(os.path.join(out_dir, "fit_report.txt"), "w") as fh:
         fh.write(text)
@@ -377,10 +375,8 @@ def cmd_predict_map(cfg: dict) -> int:
 
 
 def _write_manifest(out_dir: str, command: str, cfg: dict) -> None:
-    manifest = {"version": __version__, "command": command, "config": cfg}
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run_manifest.json"),
+                {"version": __version__, "command": command, "config": cfg})
 
 
 # Each command, and the top-level config keys it reads. A key mapped to a

@@ -182,6 +182,8 @@ def simulate_grf(region: StudyRegion, cfg: GPConfig,
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xll", "yll", "cellsize", "nodata")
+# The nodata value that write_raster declares; it writes no such cell.
+_NODATA = -9999.0
 
 
 def _read_one_raster(path):
@@ -252,8 +254,7 @@ def ingest_raster(paths) -> CovariateField:
     return CovariateField(ref["xll"], ref["yll"], cs, cs, values)
 
 
-def write_raster(field: CovariateField, path, covariate: int = 0,
-                 nodata: float = -9999.0) -> None:
+def write_raster(field: CovariateField, path, covariate: int = 0) -> None:
     """Write one covariate layer in the ingestion format."""
     if abs(field.dx - field.dy) > 1e-12 * max(field.dx, field.dy):
         raise ConfigError("raster format requires square cells")
@@ -263,7 +264,7 @@ def write_raster(field: CovariateField, path, covariate: int = 0,
     with open(path, "w") as fh:
         fh.write(f"ncols {field.nx}\nnrows {field.ny}\n")
         fh.write(f"xll {float(field.x0)!r}\nyll {float(field.y0)!r}\n")
-        fh.write(f"cellsize {float(field.dx)!r}\nnodata {float(nodata)!r}\n")
+        fh.write(f"cellsize {float(field.dx)!r}\nnodata {_NODATA!r}\n")
         for row in grid:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import CovariateField, region_of
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .geometry import StudyRegion
 from .likelihoods import (
     LikelihoodSpec,
@@ -95,9 +95,10 @@ def delta_method_ci(lambda_bar: float, gradient: np.ndarray,
 @dataclass(frozen=True)
 class FitSettings:
     """The iteration cap of each Newton run, the number of runs, and the
-    seed of their starts: the first run starts from ``fit``'s ``start``,
-    each further one from it jittered uniformly by ±``_START_JITTER`` on
-    every working coordinate; the best converged run wins. 95% intervals."""
+    seed of their starts: the first run starts at beta = 0, phi = (w/2)^2
+    with w the largest DS radius, and theta = 1/2, each further one from it
+    jittered uniformly by ±``_START_JITTER`` on every working coordinate;
+    the best converged run wins. 95% intervals."""
 
     max_iter: int = 4000
     n_starts: int = 1
@@ -162,14 +163,6 @@ class FitResult:
         return out
 
 
-def default_start(spec: LikelihoodSpec) -> WorkingParams:
-    """beta = 0, phi started at (w_ds/2)^2, theta at 1/2."""
-    ds = spec.design.ds_regions
-    w_ds = max((r.radius for r in ds), default=0.1)
-    return WorkingParams(np.zeros(1 + spec.field.q),
-                         math.log(w_ds ** 2 / 4.0), 0.0)
-
-
 def _logit(t: float) -> float:
     if t <= 0.0:
         return -math.inf
@@ -219,17 +212,17 @@ def _invert_at_bound(H: np.ndarray, held: list) -> np.ndarray | None:
     return cov if np.isfinite(cov).all() and (np.diag(cov) >= 0).all() else None
 
 
-def fit(spec: LikelihoodSpec, start: WorkingParams | None = None,
-        settings: FitSettings | None = None) -> FitResult:
+def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
     """Maximize the scenario log-likelihood and attach Wald/delta inference.
 
-    Each run (see ``FitSettings``) is one ``projected_newton`` search with
-    the exact derivatives of ``loglik_derivatives`` over the model's range,
-    the box eta = 1/phi >= 0, 0 <= theta <= 1. The covariance inverts a
-    central-difference Hessian on (beta, eta, logit theta) at the reported
-    point, with a coordinate at its bound held there (``_invert_at_bound``);
-    theta's own curvature there is taken on its own scale, since on the
-    logit scale it vanishes. A singular Hessian leaves the covariance out.
+    Each run (see ``FitSettings`` for its start) is one ``projected_newton``
+    search with the exact derivatives of ``loglik_derivatives`` over the
+    model's range, the box eta = 1/phi >= 0, 0 <= theta <= 1. The
+    covariance inverts a central-difference Hessian on (beta, eta, logit
+    theta) at the reported point, with a coordinate at its bound held there
+    (``_invert_at_bound``); theta's own curvature there is taken on its own
+    scale, since on the logit scale it vanishes. A singular Hessian leaves
+    the covariance out.
 
     log phi is reported as min(-log eta, knee), the knee standing in for
     phi = inf, with the eta interval mapped through -log. logit theta is
@@ -238,11 +231,9 @@ def fit(spec: LikelihoodSpec, start: WorkingParams | None = None,
     logit. Every stand-in reads back as itself through phi and theta.
     """
     settings = settings or FitSettings()
-    start = start or default_start(spec)
     k = 1 + spec.field.q
-    if len(start.beta) != k:
-        raise DataError(f"start has {len(start.beta)} beta coefficients, "
-                        f"field needs {k}")
+    w_ds = max((r.radius for r in spec.design.ds_regions), default=0.1)
+    start = np.r_[np.zeros(k), math.log(w_ds ** 2 / 4.0), 0.0]
     knee = phi_saturation_knee(spec)
     # The search is on z = (beta, r, q): eta = unit * expm1(r), which is
     # eta * max d^2 near 0 and log eta for large eta, and theta = _theta_of(q)
@@ -286,8 +277,8 @@ def fit(spec: LikelihoodSpec, start: WorkingParams | None = None,
                                 max_iter=settings.max_iter)
 
     rng = np.random.default_rng(settings.start_seed)
-    runs = [run(x) for x in [start.as_vector()] + [
-        start.as_vector() + rng.uniform(-_START_JITTER, _START_JITTER, k + 2)
+    runs = [run(x) for x in [start] + [
+        start + rng.uniform(-_START_JITTER, _START_JITTER, k + 2)
         for _ in range(settings.n_starts - 1)]]
     z, _, _, reason = min(runs, key=lambda r: (r[3] != "converged", r[1]))
     u, theta = math.expm1(z[k]), _theta_of(z[k + 1])

@@ -20,6 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import __version__
 from .covariates import CovariateField, GPConfig, simulate_grf
 from .errors import ConfigError
 from .estimation import FitSettings, abundance, fit
@@ -29,6 +30,7 @@ from .geometry import (
     StudyRegion,
     SurveyDesign,
     SurveyUnit,
+    _write_csv,
     build_partitions,
     check_nonoverlap,
     overlap_pairs,
@@ -37,8 +39,6 @@ from .likelihoods import (
     SCENARIO_COMPLETE,
     SCENARIO_COS,
     SCENARIO_FARR,
-    SCENARIO_FUSED_DISTANCE,
-    SCENARIO_FUSED_REGION,
     SCENARIO_ORDER,
     LikelihoodSpec,
     QuadratureSettings,
@@ -386,55 +386,38 @@ def summarize(rows: list, truth: dict, scenarios) -> list:
     return summary
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # plain digits for numpy floats too
-    return str(v)
-
-
 def emit_reports(report: StudyReport, out_dir, manifest: dict | None = None) -> None:
-    """Write estimates.csv, summary.csv, boxplot_data.csv, run_manifest.json."""
+    """Write estimates.csv, summary.csv and boxplot_data.csv, each through
+    ``_write_csv``, and run_manifest.json."""
     os.makedirs(out_dir, exist_ok=True)
-    est_path = os.path.join(out_dir, "estimates.csv")
-    with open(est_path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in _CSV_COLUMNS) + "\n")
+    _write_csv(os.path.join(out_dir, "estimates.csv"), _CSV_COLUMNS,
+               ([row.get(c, "") for c in _CSV_COLUMNS] for row in report.rows))
 
-    sum_path = os.path.join(out_dir, "summary.csv")
     cols = ["scenario", "n_replicates", "n_used", "n_excluded"]
     for key in PARAM_KEYS:
         cols += [f"{key}_mean", f"{key}_sd", f"{key}_cp", f"{key}_re"]
-    with open(sum_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in report.summary:
-            fh.write(",".join(_fmt(entry.get(c, "")) for c in cols) + "\n")
+    _write_csv(os.path.join(out_dir, "summary.csv"), cols,
+               ([entry.get(c, "") for c in cols] for entry in report.summary))
 
-    box_path = os.path.join(out_dir, "boxplot_data.csv")
-    with open(box_path, "w") as fh:
-        fh.write("scenario,parameter,replicate,estimate\n")
-        for row in report.rows:
-            if row.get("status") not in ("ok", "not_converged", "no_covariance"):
-                continue
-            for key in PARAM_KEYS:
-                if key in row:
-                    fh.write(f"{row['scenario']},{key},{row['replicate']},"
-                             f"{_fmt(row[key])}\n")
+    _write_csv(os.path.join(out_dir, "boxplot_data.csv"),
+               ("scenario", "parameter", "replicate", "estimate"),
+               ((row["scenario"], key, row["replicate"], row[key])
+                for row in report.rows
+                if row.get("status") in ("ok", "not_converged", "no_covariance")
+                for key in PARAM_KEYS if key in row))
 
-    man = {
-        "version": _package_version(),
+    _write_json(os.path.join(out_dir, "run_manifest.json"), {
+        "version": __version__,
         "root_seed": report.root_seed,
         "replicates": report.replicates,
         "scenarios": list(report.scenarios),
         "truth": report.truth,
-    }
-    if manifest:
-        man.update(manifest)
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(man, fh, indent=2, sort_keys=True)
+        **(manifest or {}),
+    })
+
+
+def _write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final line end."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _package_version() -> str:
-    from . import __version__
-    return __version__

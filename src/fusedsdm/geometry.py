@@ -13,6 +13,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -125,6 +126,10 @@ class SurveyUnit:
     xy: np.ndarray  # (2,) for point/trap, (k, 2) with k >= 2 for transect
 
     def __post_init__(self):
+        # Table files strip their fields, so no other id could be read back.
+        if not isinstance(self.id, str) or not self.id or self.id != self.id.strip():
+            raise ConfigError(f"unit id {self.id!r} must be a non-empty "
+                              f"string with no leading or trailing whitespace")
         if self.kind not in UNIT_KINDS:
             raise ConfigError(f"unknown unit kind {self.kind!r}")
         xy = np.asarray(self.xy, dtype=float)
@@ -552,7 +557,9 @@ def build_partitions(region: StudyRegion, nx: int, ny: int,
     """Tile the region and flag cells intersected by a unit's geometry.
 
     Transects are marched at a quarter of the cell size so every crossed
-    cell is flagged.
+    cell is flagged, and the cell of each transect's reference point,
+    where ``aggregate_counts`` files its observations, is flagged too: a
+    midpoint on a cell edge can round into a cell the march misses.
     """
     if nx < 1 or ny < 1:
         raise ConfigError("partition counts must be >= 1")
@@ -563,6 +570,7 @@ def build_partitions(region: StudyRegion, nx: int, ny: int,
         if unit.kind == TRANSECT:
             verts = unit.xy
             pts.append(verts[:1])
+            pts.append(unit.reference_point[None, :])
             for i in range(len(verts) - 1):
                 seg = verts[i + 1] - verts[i]
                 ell = float(np.sqrt(seg @ seg))
@@ -653,21 +661,49 @@ def check_nonoverlap(design: SurveyDesign) -> tuple[bool, list[tuple[str, str]]]
     return (len(offending) == 0, offending)
 
 
+# A transect of some thousands of vertices is one geometry field longer
+# than the csv module's default limit of 128 KiB.
+csv.field_size_limit(max(csv.field_size_limit(), 2 ** 31 - 1))
+
+
+def _write_csv(path, header, rows) -> None:
+    """``header`` and ``rows`` to ``path`` in the csv module's default
+    dialect (which quotes as needed) with "\\n" line ends; floats by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
+
+
+def _read_csv(path):
+    """(file line, stripped fields) of each non-blank row of a table file;
+    a row the csv module cannot read is a DataError naming its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                fields = [f.strip() for f in row]
+                if fields not in ([], [""]):
+                    yield reader.line_num, fields
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def load_design(path) -> SurveyDesign:
     """Read a `id,kind,radius,geometry` design file.
 
     Geometry is `x y` for points/traps and `x1 y1;x2 y2;...` for transects.
     """
     regions = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "id,kind,radius,geometry":
+    rows = _read_csv(path)
+    _, header = next(rows, (0, []))
+    if [h.lower() for h in header] != ["id", "kind", "radius", "geometry"]:
         raise DataError(f"{path}: expected header 'id,kind,radius,geometry'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    for lineno, parts in rows:
         if len(parts) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 comma-separated fields")
-        uid, kind, radius_s, geom = (p.strip() for p in parts)
+        uid, kind, radius_s, geom = parts
         try:
             radius = float(radius_s)
         except ValueError as exc:
@@ -688,9 +724,8 @@ def load_design(path) -> SurveyDesign:
 
 
 def save_design(design: SurveyDesign, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("id,kind,radius,geometry\n")
-        for r in design.regions:
-            xy = np.atleast_2d(r.unit.xy)
-            geom = ";".join(f"{float(x)!r} {float(y)!r}" for x, y in xy)
-            fh.write(f"{r.unit.id},{r.unit.kind},{float(r.radius)!r},{geom}\n")
+    _write_csv(path, ("id", "kind", "radius", "geometry"), (
+        (r.unit.id, r.unit.kind, float(r.radius),
+         ";".join(f"{float(x)!r} {float(y)!r}"
+                  for x, y in np.atleast_2d(r.unit.xy)))
+        for r in design.regions))

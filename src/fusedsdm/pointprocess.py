@@ -20,6 +20,8 @@ from .geometry import (
     PartitionGrid,
     StudyRegion,
     SurveyDesign,
+    _read_csv,
+    _write_csv,
     check_nonoverlap,
 )
 
@@ -209,37 +211,31 @@ CR_SOURCE = "cr"
 
 def save_observations(obs: ObservationSet, path) -> None:
     """Write `source,unit_id,distance[,x,y]` rows; distance empty for CR."""
-    with_loc = obs.has_locations
-    with open(path, "w") as fh:
-        fh.write("source,unit_id,distance,x,y\n" if with_loc
-                 else "source,unit_id,distance\n")
-        for i in range(obs.n_ds):
-            row = f"{DS_SOURCE},{obs.ds_unit[i]},{float(obs.ds_distance[i])!r}"
-            if with_loc:
-                row += f",{float(obs.ds_loc[i, 0])!r},{float(obs.ds_loc[i, 1])!r}"
-            fh.write(row + "\n")
-        for i in range(obs.n_cr):
-            row = f"{CR_SOURCE},{obs.cr_unit[i]},"
-            if with_loc:
-                row += f",{float(obs.cr_loc[i, 0])!r},{float(obs.cr_loc[i, 1])!r}"
-            fh.write(row + "\n")
+    rows = [[DS_SOURCE, u, float(d)]
+            for u, d in zip(obs.ds_unit, obs.ds_distance)]
+    rows += [[CR_SOURCE, u, ""] for u in obs.cr_unit]
+    header = ["source", "unit_id", "distance"]
+    if obs.has_locations:
+        header += ["x", "y"]
+        for row, xy in zip(rows, np.vstack([obs.ds_loc, obs.cr_loc])):
+            row += xy.tolist()
+    _write_csv(path, header, rows)
 
 
 def load_observations(path) -> ObservationSet:
     """Read an observation file; x,y columns are optional."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+    rows = _read_csv(path)
+    _, header = next(rows, (0, None))
+    if header is None:
         raise DataError(f"{path}: empty observation file")
-    header = [h.strip().lower() for h in lines[0].split(",")]
+    header = [h.lower() for h in header]
     if header[:3] != ["source", "unit_id", "distance"]:
         raise DataError(f"{path}: expected header starting 'source,unit_id,distance'")
     with_loc = header[3:] == ["x", "y"]
     if not with_loc and len(header) != 3:
         raise DataError(f"{path}: unrecognized columns {header[3:]}")
     ds_unit, ds_dist, ds_loc, cr_unit, cr_loc = [], [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, parts in rows:
         if len(parts) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
         source, uid, dist_s = parts[:3]
@@ -275,7 +271,4 @@ def load_observations(path) -> ObservationSet:
 
 
 def save_pattern(pattern: IndividualPattern, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in pattern.locations:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    _write_csv(path, ("x", "y"), pattern.locations.tolist())

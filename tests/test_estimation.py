@@ -794,3 +794,29 @@ class TestRandomDesigns:
             assert 0.1 < results[s].params.theta < 0.2
         assert results["complete"].loglik == pytest.approx(1337.7614, abs=1e-3)
         assert estimation._theta_of(estimation._Q_ZERO) == 0.0
+
+    def test_transect_midpoint_cell_is_sampled(self):
+        """A design the property above drew, in hex. t4's reference point,
+        where aggregate_counts files its observations, rounds to x = 0.5 -
+        2^-54 and falls in cell 9 of the 4 x 4 partition, which the march
+        along t4 (cells 5 and 10) never flagged. So both aggregated specs
+        refused the data ("nonzero count in an unsampled partition"),
+        naming no unit."""
+        h = float.fromhex
+        t4 = SurveyUnit("t4", "transect", np.array([
+            [h("0x1.d4460c352f315p-2"), h("0x1.f511830d4bcc5p-2")],
+            [0.5, 0.5],
+            [h("0x1.15dcf9e568675p-1"), h("0x1.05773e795a19dp-1")]]))
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("t1", "trap", np.array(
+                [0.5, h("0x1.5555555555555p-3")])), 0.0625),
+            SampledRegion(t4, 0.0625)))
+        region = StudyRegion.unit_square()
+        partitions = build_partitions(region, 4, 4, design)
+        assert t4.reference_point[0] == h("0x1.fffffffffffffp-2")
+        assert partitions.cell_index(t4.reference_point[None, :])[0] == 9
+        assert np.flatnonzero(partitions.sampled).tolist() == [2, 5, 9, 10]
+        _, results = _fit_random_design(region, design, 0, 0.0, 0.002, 0.5)
+        for scenario, result in results.items():
+            assert not isinstance(result, Exception), (scenario, result)
+            assert math.isfinite(result.loglik), scenario

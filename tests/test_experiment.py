@@ -14,6 +14,7 @@ from fusedsdm.covariates import GPConfig, simulate_grf
 from fusedsdm.errors import ConfigError
 from fusedsdm.experiment import (
     StudyConfig,
+    StudyReport,
     _repair_overlaps,
     build_study_design,
     coverage,
@@ -398,9 +399,9 @@ class TestEmitReports:
 
     def test_numeric_fields_parse_as_floats(self, tiny_report, tmp_path):
         emit_reports(tiny_report, tmp_path)
-        with open(tmp_path / "estimates.csv") as fh:
+        with open(tmp_path / "estimates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        text = {"scenario", "status", "message", None}
+        text = {"scenario", "status", "message"}
         n_ci = 0
         for row in rows:
             for col, value in row.items():
@@ -408,6 +409,28 @@ class TestEmitReports:
                     float(value)
                     n_ci += col.startswith("ci_")
         assert n_ci > 0
+
+    def test_a_message_with_a_comma_and_a_quote_keeps_its_row_whole(
+            self, tmp_path):
+        """A hand-built report: every estimates.csv row has the header's
+        fields, and the message reads back as it was written."""
+        message = 'ValueError: no descent, "step" refused'
+        rows = [{"replicate": 0, "scenario": "complete", "status": "error",
+                 "n_ds": 3, "n_cr": 1, "message": message},
+                {"replicate": 0, "scenario": "fused-distance",
+                 "status": "ok", "n_ds": 3, "n_cr": 1, "beta0": 9.0,
+                 "beta1": 1.0, "lambda_bar": 8100.5, "loglik": -12.25,
+                 "message": "converged, " + message}]
+        report = StudyReport(truth={"beta0": 9.0}, rows=rows, summary=[],
+                             replicates=1, root_seed=1,
+                             scenarios=("complete", "fused-distance"))
+        emit_reports(report, tmp_path)
+        with open(tmp_path / "estimates.csv", newline="") as fh:
+            header, *table = list(csv.reader(fh))
+        assert [len(r) for r in table] == [len(header)] * 2
+        assert [r[header.index("message")] for r in table] == \
+            [message, "converged, " + message]
+        assert table[1][header.index("lambda_bar")] == "8100.5"
 
     def test_summary_one_row_per_scenario(self, tmp_path):
         report = run_study(small_config())

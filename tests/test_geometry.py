@@ -1,6 +1,8 @@
 """Geometry: distances, quadrature rules, partitions, overlap checks."""
 
+import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -384,6 +386,49 @@ class TestDesignFile:
                                             r"must be finite"):
             load_design(path)
 
+    def test_bad_radius_names_its_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,kind,radius,geometry\n\np1,point,0.04,0.5 0.5\n"
+                        "\nt1,trap,abc,0.5 0.7\n")
+        with pytest.raises(DataError, match=r"d\.csv:5: bad radius 'abc'"):
+            load_design(path)
+
+    def test_a_transect_of_many_vertices_round_trips(self, tmp_path):
+        """Its geometry field is about 190 kB, past the csv module's
+        default field limit."""
+        x = np.linspace(0.1, 0.9, 5000)
+        unit = transect_unit(np.c_[x, 0.5 + 0.01 * np.sin(50 * x)])
+        path = tmp_path / "design.csv"
+        save_design(SurveyDesign((SampledRegion(unit, 0.01),)), path)
+        assert path.stat().st_size > 131072
+        assert np.array_equal(load_design(path).regions[0].unit.xy, unit.xy)
+
+    def test_unreadable_row_names_its_line(self, tmp_path):
+        path = tmp_path / "design.csv"
+        path.write_text("id,kind,radius,geometry\np1,point,0.04,0.5 0.5\n\n"
+                        "p2,point,0.04,0.25 0.75\n")
+        limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataError, match=r"design\.csv:4: field larger"):
+                load_design(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_ids_with_a_comma_or_a_quote_round_trip(self, tmp_path):
+        ids = ("p,1", 't"2', 'a, "b"')
+        design = SurveyDesign((
+            SampledRegion(point_unit(0.2, 0.2, ids[0]), 0.04),
+            SampledRegion(trap_unit(0.5, 0.5, ids[1]), 0.02),
+            SampledRegion(transect_unit([[0.6, 0.8], [0.9, 0.8]], ids[2]),
+                          0.05)))
+        path = tmp_path / "design.csv"
+        save_design(design, path)
+        loaded = load_design(path)
+        assert tuple(r.unit.id for r in loaded.regions) == ids
+        for a, b in zip(loaded.regions, design.regions):
+            assert a.radius == b.radius
+            assert np.array_equal(a.unit.xy, b.unit.xy)
+
 
 class TestInvariantsAndValidation:
     def test_transect_needs_two_vertices(self):
@@ -393,6 +438,14 @@ class TestInvariantsAndValidation:
     def test_zero_length_transect_rejected(self):
         with pytest.raises(ConfigError):
             SurveyUnit("t", "transect", np.array([[0.1, 0.1], [0.1, 0.1]]))
+
+    @pytest.mark.parametrize("uid", ["", " ", " p1", "p1 ", "p1\n", 1])
+    def test_id_must_read_back_from_a_table_file(self, uid):
+        """Table readers strip their fields, so an empty id or one with
+        leading or trailing whitespace could not come back from a file."""
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unit id {uid!r} must be")):
+            point_unit(0.5, 0.5, uid)
 
     def test_positive_radius_required(self):
         with pytest.raises(ConfigError):

@@ -275,6 +275,31 @@ class TestObservationFile:
         with pytest.raises(DataError, match=":3: bad location"):
             load_observations(path)
 
+    def test_bad_distance_names_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("source,unit_id,distance\n\nds,p0,0.01\n  \n"
+                        "ds,p0,abc\n")
+        with pytest.raises(DataError, match=r"obs\.csv:5: bad distance 'abc'"):
+            load_observations(path)
+
+    @pytest.mark.parametrize("with_loc", (True, False))
+    def test_ids_with_a_comma_or_a_quote_round_trip(self, tmp_path, with_loc):
+        obs = ObservationSet(
+            ds_unit=np.array(["p,1", 'a, "b"'], dtype=object),
+            ds_distance=np.array([0.01, 0.02]),
+            cr_unit=np.array(['t"2'], dtype=object),
+            ds_loc=np.array([[0.1, 0.2], [0.3, 0.4]]) if with_loc else None,
+            cr_loc=np.array([[0.5, 0.6]]) if with_loc else None)
+        path = tmp_path / "obs.csv"
+        save_observations(obs, path)
+        back = load_observations(path)
+        assert list(back.ds_unit) == ["p,1", 'a, "b"']
+        assert list(back.cr_unit) == ['t"2']
+        assert np.array_equal(back.ds_distance, obs.ds_distance)
+        if with_loc:
+            assert np.array_equal(back.ds_loc, obs.ds_loc)
+            assert np.array_equal(back.cr_loc, obs.cr_loc)
+
 
 class TestModelParamsValidation:
     def test_phi_positive(self):
