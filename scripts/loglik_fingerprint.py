@@ -3,17 +3,16 @@
 Builds the five LikelihoodSpecs for replicate 0 of the default study and
 for the bundled demo fixture, evaluates ``loglik`` at a fixed grid of
 working points (including extreme log phi and logit theta) and prints one
-``float.hex()`` per line, plus each spec's ``phi_saturation_knee``. Then it
-prints the value, gradient and Hessian of ``loglik_derivatives`` at
-16 RateParams points, with the detection rate eta = 1/phi from 0
-(phi = inf) to 1e6, one number per line.
+``float.hex()`` per line. Then it prints the value, gradient and Hessian
+of ``loglik_derivatives`` at 16 RateParams points, with the detection rate
+eta = 1/phi from 0 (phi = inf) to 1e6, one number per line.
 
 Two checkouts are compared to a tolerance, not to the bit: a change that
 only reorders or merges the terms of a sum moves the last digits. With
 ``--against`` the script compares its values with an earlier output and
 prints how many differ and the largest relative difference. It exits with
-status 1 when that exceeds 1e-12, when a knee line differs at all, or when
-the two outputs list different points:
+status 1 when that exceeds 1e-12 or when the two outputs list different
+points:
 
     python3 scripts/loglik_fingerprint.py --src ../other/src > before.txt
     python3 scripts/loglik_fingerprint.py --against before.txt
@@ -101,9 +100,6 @@ def fingerprint(fs):
     for name, specs, shift in (("demo", demo_specs(fs), -3.0),
                                ("study-rep0", study_specs(fs), 0.0)):
         for scenario, spec in specs.items():
-            knee = lk.phi_saturation_knee(spec)
-            yield (f"{name} {scenario} knee "
-                   f"{'None' if knee is None else float(knee).hex()}")
             for i, wp in enumerate(grid(lk.WorkingParams, shift)):
                 yield f"{name} {scenario} {i} {float(lk.loglik(wp, spec)).hex()}"
             for i, rp in enumerate(derivative_grid(lk.RateParams, shift)):
@@ -122,7 +118,7 @@ def _values(lines):
 
 def compare(lines, path) -> int:
     """Print how ``lines`` differ from the output in ``path``; the exit
-    status is 1 past the tolerance or on any knee difference."""
+    status is 1 past the tolerance."""
     now = _values(lines)
     with open(path) as f:
         before = _values(f.read().splitlines())
@@ -130,21 +126,17 @@ def compare(lines, path) -> int:
         print(f"the outputs list different points: {len(now)} here, "
               f"{len(before)} in {path}")
         return 1
-    differ, knees, worst = 0, 0, 0.0
+    differ, worst = 0, 0.0
     for key, value in now.items():
         if value == before[key]:
             continue
         differ += 1
-        if key.endswith(" knee"):
-            knees += 1
-            continue
         a, b = float.fromhex(value), float.fromhex(before[key])
         worst = max(worst, abs(a - b) / max(abs(a), abs(b))
                     if math.isfinite(a) and math.isfinite(b) else math.inf)
     print(f"{differ} of {len(now)} values differ from {path}; largest "
-          f"relative difference {worst:.3g} (tolerance {TOLERANCE:g}); "
-          f"{knees} knee lines differ")
-    return 1 if worst > TOLERANCE or knees else 0
+          f"relative difference {worst:.3g} (tolerance {TOLERANCE:g})")
+    return 1 if worst > TOLERANCE else 0
 
 
 def main(argv=None):

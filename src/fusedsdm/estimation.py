@@ -21,11 +21,12 @@ from .likelihoods import (
     LikelihoodSpec,
     RateParams,
     WorkingParams,
+    _EXP_CAP,
+    _exp_clip,
     _sigmoid,
     loglik,
     loglik_derivatives,
     loglik_terms,
-    phi_saturation_knee,
 )
 from .optimize import (  # noqa: F401  (nelder_mead is re-exported)
     nelder_mead,
@@ -39,8 +40,13 @@ from .pointprocess import ModelParams
 # (within 1 ulp of the exact value). Written out so that the package needs
 # no special-function library; the tests pin it to that routine bit for bit.
 _Z95 = 1.959963984540054
-# Half-width of the uniform jitter around the start of each further run.
+# Half-width of the uniform jitter around the start of each further run,
+# and the seed of those starts.
 _START_JITTER = 1.0
+_START_SEED = 0
+# The iteration cap of each Newton run; runs on the acceptance study take
+# 15-97 iterations.
+_MAX_ITER = 4000
 # theta is searched as q, theta = (1 + 2 eps) sigmoid(q) - eps (_theta_of).
 _THETA_EPS = 1e-3
 
@@ -94,22 +100,16 @@ def delta_method_ci(lambda_bar: float, gradient: np.ndarray,
 
 @dataclass(frozen=True)
 class FitSettings:
-    """The iteration cap of each Newton run, the number of runs, and the
-    seed of their starts: the first run starts at beta = 0, phi = (w/2)^2
-    with w the largest DS radius, and theta = 1/2, each further one from it
-    jittered uniformly by ±``_START_JITTER`` on every working coordinate;
-    the best converged run wins. 95% intervals."""
+    """The number of Newton runs: the first run starts at beta = 0,
+    phi = (w/2)^2 with w the largest DS radius, and theta = 1/2, each
+    further one from it jittered uniformly by ±``_START_JITTER`` on every
+    working coordinate; the best converged run wins. 95% intervals."""
 
-    max_iter: int = 4000
     n_starts: int = 1
-    start_seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("max_iter", 1), ("n_starts", 1),
-                            ("start_seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, "
-                                  f"got {getattr(self, name)}")
+        if self.n_starts < 1:
+            raise ConfigError(f"n_starts must be >= 1, got {self.n_starts}")
 
 
 @dataclass
@@ -187,6 +187,9 @@ def _q_of(theta: float) -> float:
     return _logit((theta + _THETA_EPS) / (1.0 + 2.0 * _THETA_EPS))
 
 
+# The reported log phi of phi = inf: past _EXP_CAP the likelihood is that of
+# phi = inf to the bit.
+_LOG_PHI_INF = _round_trip(_EXP_CAP, math.exp, math.log)
 # The reported logit theta of theta = 0 and 1. sigmoid(-30) = 9.4e-14, so
 # theta * T there is within float noise of its value at the bound.
 _LOGIT_STAND_INS = tuple(_round_trip(x, _sigmoid, _logit) for x in (-30.0, 30.0))
@@ -224,26 +227,27 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
     scale, since on the logit scale it vanishes. A singular Hessian leaves
     the covariance out.
 
-    log phi is reported as min(-log eta, knee), the knee standing in for
-    phi = inf, with the eta interval mapped through -log. logit theta is
-    reported within ``_LOGIT_STAND_INS``, which stand in for theta = 0 and
-    1, and at a bound its interval is the theta interval mapped through the
-    logit. Every stand-in reads back as itself through phi and theta.
+    log phi is reported as min(-log eta, ``_LOG_PHI_INF``), which stands in
+    for phi = inf with the likelihood's own value there, and the eta
+    interval is mapped through the same rule. logit theta is reported
+    within ``_LOGIT_STAND_INS``, which stand in for theta = 0 and 1, and at
+    a bound its interval is the theta interval mapped through the logit.
+    Every stand-in reads back as itself through phi and theta.
     """
     settings = settings or FitSettings()
     k = 1 + spec.field.q
     w_ds = max((r.radius for r in spec.design.ds_regions), default=0.1)
     start = np.r_[np.zeros(k), math.log(w_ds ** 2 / 4.0), 0.0]
-    knee = phi_saturation_knee(spec)
+    max_d2 = spec.prepared().max_d2
     # The search is on z = (beta, r, q): eta = unit * expm1(r), which is
     # eta * max d^2 near 0 and log eta for large eta, and theta = _theta_of(q)
     # (logit theta inside, theta near the bounds). Without a DS distance phi
     # does not enter the likelihood, so r keeps its start.
-    unit = 1.0 / spec.prepared().max_d2 if knee is not None else 1.0
+    unit = 1.0 / max_d2 if max_d2 > 0 else 1.0
     n_total = float(spec.prepared().n.sum())
 
     def rate(v):
-        return RateParams(v[:k], math.expm1(min(v[k], 700.0)) * unit,
+        return RateParams(v[:k], math.expm1(min(v[k], _EXP_CAP)) * unit,
                           _logit(_theta_of(v[k + 1])))
 
     def profiled(v):
@@ -260,7 +264,7 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
     def derivatives(v):
         value, g, H = loglik_derivatives(rate(v), spec)
         t = _sigmoid(v[k + 1])
-        jac = np.r_[np.ones(k), math.exp(min(v[k], 700.0)) * unit,
+        jac = np.r_[np.ones(k), _exp_clip(v[k]) * unit,
                     (1.0 + 2.0 * _THETA_EPS) * t * (1.0 - t)]
         H = H * np.outer(jac, jac)
         H[k, k] += g[k] * jac[k]
@@ -268,26 +272,24 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
         return -value, -g * jac, -H
 
     def run(x):
-        z = profiled(np.r_[x[:k], math.log1p(math.exp(min(-x[k], 700.0))
-                                             / unit), _q_of(_sigmoid(x[-1]))])[0]
-        free = knee is not None
+        z = profiled(np.r_[x[:k], math.log1p(_exp_clip(-x[k]) / unit),
+                           _q_of(_sigmoid(x[-1]))])[0]
+        free = max_d2 > 0
         lo = np.r_[np.full(k, -np.inf), 0.0 if free else z[k], _Q_ZERO]
         hi = np.r_[np.full(k, np.inf), math.inf if free else z[k], _q_of(1.0)]
         return projected_newton(profiled, derivatives, z, lo, hi,
-                                max_iter=settings.max_iter)
+                                max_iter=_MAX_ITER)
 
-    rng = np.random.default_rng(settings.start_seed)
+    rng = np.random.default_rng(_START_SEED)
     runs = [run(x) for x in [start] + [
         start + rng.uniform(-_START_JITTER, _START_JITTER, k + 2)
         for _ in range(settings.n_starts - 1)]]
     z, _, _, reason = min(runs, key=lambda r: (r[3] != "converged", r[1]))
     u, theta = math.expm1(z[k]), _theta_of(z[k + 1])
     eta = u * unit
-    saturated = (_round_trip(knee, math.exp, math.log) if knee is not None
-                 else math.inf)
 
     def log_phi_of(e: float) -> float:
-        return saturated if e <= 0 else min(-math.log(e), saturated)
+        return _LOG_PHI_INF if e <= 0 else min(-math.log(e), _LOG_PHI_INF)
 
     def logit_of(t: float) -> float:
         return min(max(_logit(t), _LOGIT_STAND_INS[0]), _LOGIT_STAND_INS[1])
@@ -297,7 +299,7 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
     wp_hat = WorkingParams(z[:k], log_phi_of(eta), logit_theta)
     notes = []
     cov = None
-    if knee is None:
+    if max_d2 <= 0:
         notes.append("no DS distances, so phi does not enter the likelihood")
     else:
         scale = np.r_[np.ones(k), unit, 1.0]
@@ -313,9 +315,7 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
             cov = cov * np.outer(scale, scale)
         if eta <= 0:
             notes.append("eta = 1/phi held at its bound 0 (the maximum lies "
-                         "past it), log phi reported at the knee")
-        elif wp_hat.log_phi == saturated:
-            notes.append("detection saturated, log phi reported at the knee")
+                         f"past it), log phi reported at {_LOG_PHI_INF:g}")
     if theta_held:
         notes.append(f"theta held at its bound {round(theta)}, logit theta "
                      f"reported at {logit_theta:.6g}")

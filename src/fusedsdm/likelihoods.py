@@ -49,6 +49,10 @@ Each spec keeps the detected run sums of its last four phi values (the
 central-difference Hessian revisits three), matched on phi's bits; a kept
 sum has the bits of a fresh one, so no result depends on which phi values
 came before.
+
+A log phi at or past ``_EXP_CAP`` (700) evaluates as phi = exp(700), where
+every value equals its value at phi = inf (``RateParams`` with eta = 0) to
+the bit, so ``fit`` reports phi = inf as log phi = 700.
 """
 
 from __future__ import annotations
@@ -93,8 +97,11 @@ _BY_UNIT = (SCENARIO_COMPLETE, SCENARIO_FUSED_REGION, SCENARIO_FUSED_DISTANCE)
 # impossible configurations into large finite penalties instead of NaNs.
 _FLOOR = 1e-300
 _BIG_NEGATIVE = -1e300
-# Past phi_saturation_knee every detection probability equals 1 up to this.
-_KNEE_REL = 1e-6
+# exp's argument is capped here. A log phi at or past it evaluates as
+# phi = exp(_EXP_CAP) = 1e304, where exp(-d^2/phi) is exactly 1 and
+# sum d^2 / phi vanishes beside the other terms: the likelihood at
+# phi = inf (eta = 0), to the bit.
+_EXP_CAP = 700.0
 
 
 def _sigmoid(x: float) -> float:
@@ -109,7 +116,7 @@ def _sigmoid(x: float) -> float:
 
 
 def _exp_clip(x: float) -> float:
-    return math.exp(min(x, 700.0))
+    return math.exp(min(x, _EXP_CAP))
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,7 +597,7 @@ class _Prepared:
         layout = self._by_cell if spec.scenario in (SCENARIO_FARR, SCENARIO_COS) \
             else self._by_unit
         undetected, captured, n, m, recorded = layout(spec, regions)
-        # The knee covers every DS node and recorded distance, read or not.
+        # The largest d^2 of every DS node and recorded distance, read or not.
         self.max_d2 = max(regions.max_d2, float(recorded.max(initial=0.0)))
 
         detected, region_captured = regions.tables[spec.scenario]
@@ -779,17 +786,3 @@ def loglik(wp: WorkingParams | RateParams, spec: LikelihoodSpec) -> float:
     """Log-likelihood of the spec's scenario at the working parameters."""
     return loglik_terms(wp, spec).total
 
-
-def phi_saturation_knee(spec: LikelihoodSpec) -> float | None:
-    """Upper working-scale knee for the half-normal scale.
-
-    Beyond log_phi = log(max d^2 / _KNEE_REL) every detection probability
-    in the data and quadrature tables equals 1 up to ``_KNEE_REL``, so the
-    likelihood is numerically constant in phi; fits past the knee are
-    equi-optimal with the knee itself. ``fit`` reports it as the stand-in for phi = inf: a
-    log phi estimate or interval end at the knee means detection saturated
-    (eta = 1/phi at or near 0). None when the spec involves no DS
-    distances.
-    """
-    max_d2 = spec.prepared().max_d2
-    return math.log(max_d2 / _KNEE_REL) if max_d2 > 0.0 else None

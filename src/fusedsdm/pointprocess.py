@@ -57,18 +57,13 @@ class IndividualPattern:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """DS detections and CR captures, optionally with true locations.
-
-    ``observed_flags`` carries the per-individual observed/missing label
-    from simulation when available; it is None for ingested data.
-    """
+    """DS detections and CR captures, optionally with true locations."""
 
     ds_unit: np.ndarray          # (n_ds,) unit ids
     ds_distance: np.ndarray      # (n_ds,) recorded distances
     cr_unit: np.ndarray          # (n_cr,) trap ids
     ds_loc: np.ndarray | None = None  # (n_ds, 2) true locations
     cr_loc: np.ndarray | None = None  # (n_cr, 2)
-    observed_flags: np.ndarray | None = None
 
     @property
     def n_ds(self) -> int:
@@ -145,7 +140,6 @@ def simulate_observation(pattern: IndividualPattern, design: SurveyDesign,
         raise ConfigError(f"design has overlapping regions: {pairs}")
     rng = np.random.default_rng(seed)
     pts = pattern.locations
-    flags = np.zeros(pattern.n, dtype=bool)
     ds_unit, ds_dist, ds_loc = [], [], []
     cr_unit, cr_loc = [], []
     for reg in design.regions:
@@ -162,7 +156,6 @@ def simulate_observation(pattern: IndividualPattern, design: SurveyDesign,
             p = np.full(len(inside), params.theta)
         hit = rng.random(len(inside)) < p
         taken = inside[hit]
-        flags[taken] = True
         if reg.is_ds:
             ds_unit.extend([reg.unit.id] * len(taken))
             ds_dist.extend(d[hit].tolist())
@@ -176,7 +169,6 @@ def simulate_observation(pattern: IndividualPattern, design: SurveyDesign,
         cr_unit=np.array(cr_unit, dtype=object),
         ds_loc=np.array(ds_loc, dtype=float).reshape(-1, 2),
         cr_loc=np.array(cr_loc, dtype=float).reshape(-1, 2),
-        observed_flags=flags,
     )
 
 

@@ -208,7 +208,7 @@ class TestFit:
             design=str(sim_dir / "design.csv"),
             raster=str(sim_dir / "covariate.asc"),
             partitions=[4, 2],
-            fit={"max_iter": 300},
+            fit={"n_starts": 2},
             out=str(out),
         )
         assert main(["fit", "--config", cfg]) in (0, 4)
@@ -297,17 +297,19 @@ class TestConfigDefaults:
         assert _section_from({}, "fit", FitSettings()) == FitSettings()
         assert _gp_from({}) == GPConfig()
         assert _gp_from({"gp": {"seed": 4}}) == GPConfig(seed=4)
-        partial = _study_config_from({"replicates": 1,
-                                      "fit": {"max_iter": 50}})
-        assert partial.fit_settings == FitSettings(n_starts=2, max_iter=50)
+        partial = _study_config_from({"replicates": 1, "fit": {}})
+        assert partial.fit_settings == FitSettings(n_starts=2)
 
     @pytest.mark.parametrize("section,key", (("fit", "n_start"),
                                              ("gp", "n_start"),
-                                             ("fit", "polish")))
+                                             ("fit", "polish"),
+                                             ("fit", "max_iter"),
+                                             ("fit", "start_seed")))
     def test_unknown_key_is_config_error(self, section, key, tmp_path,
                                          capsys):
         """A section accepts the fields of its dataclass and nothing else;
-        ``polish`` is no longer a FitSettings field."""
+        ``polish``, ``max_iter`` and ``start_seed`` are no longer
+        FitSettings fields."""
         cfg = write_config(tmp_path / "cfg.json", replicates=1,
                            out=str(tmp_path / "exp"),
                            **{section: {key: 2}})
@@ -370,8 +372,8 @@ class TestTopLevelKeys:
 class TestIntegerSettings:
     @pytest.mark.parametrize("command,entries,field", (
         ("fit", {"fit": {"n_starts": 2.9}}, "fit.n_starts"),
-        ("fit", {"fit": {"max_iter": True}}, "fit.max_iter"),
-        ("fit", {"fit": {"start_seed": "3"}}, "fit.start_seed"),
+        ("fit", {"fit": {"n_starts": True}}, "fit.n_starts"),
+        ("fit", {"fit": {"n_starts": "3"}}, "fit.n_starts"),
         ("fit", {"seed": 1.0}, "seed"),
         ("fit", {"partitions": [4.0, 2]}, "partitions"),
         ("simulate", {"gp": {"n_knots": 5.5}}, "gp.n_knots"),
@@ -400,8 +402,8 @@ class TestIntegerSettings:
         assert not out.exists()
 
     def test_integers_pass_and_float_fields_take_integers(self):
-        assert _section_from({"fit": {"n_starts": 3, "max_iter": 7}}, "fit",
-                             FitSettings()) == FitSettings(7, 3)
+        assert _section_from({"fit": {"n_starts": 3}}, "fit",
+                             FitSettings()) == FitSettings(3)
         gp = _gp_from({"gp": {"kernel_range": 1, "n_knots": 5}})
         assert gp == GPConfig(n_knots=5, kernel_range=1.0)
         config = _study_config_from({"replicates": 2, "workers": 2,
@@ -425,9 +427,7 @@ class TestSettingKinds:
         ("experiment", {"design": [1]}, "design"),
         ("predict-map", {"fit_report": 2}, "fit_report"),
         ("fit", {"fit": {"n_starts": -3}}, "n_starts"),
-        ("fit", {"fit": {"max_iter": 0}}, "max_iter"),
-        ("experiment", {"fit": {"n_starts": 2, "start_seed": -1}},
-         "start_seed")))
+        ("experiment", {"fit": {"n_starts": 0}}, "n_starts")))
     def test_refused_before_output(self, command, entries, key, sim_dir,
                                    tmp_path, capsys):
         """A file setting that is not a string (nor, for ``raster``, a list

@@ -21,6 +21,7 @@ from fusedsdm.covariates import (
 )
 from fusedsdm.errors import ConfigError, DataError
 from fusedsdm.estimation import (
+    _LOG_PHI_INF,
     _Z95,
     FitSettings,
     abundance,
@@ -47,7 +48,6 @@ from fusedsdm.likelihoods import (
     WorkingParams,
     design_tables,
     loglik,
-    phi_saturation_knee,
 )
 from fusedsdm.pointprocess import (
     ModelParams,
@@ -352,17 +352,12 @@ def default_study_specs():
     return specs
 
 
-# exp(700) is the largest phi the working scale holds: every detection
-# probability is exactly 1 and sum d^2 / phi is below 1e-300.
-_PHI_INF_LOG = 700.0
-
-
 def _phi_inf_maximum(spec, result) -> float:
     """The log-likelihood maximized over (beta, logit theta) with phi = inf
     (eta = 1/phi pinned at 0), by scipy's Nelder-Mead from the fit's point
     and from the study truth."""
     def nll(v):
-        return -loglik(WorkingParams(v[:-1], _PHI_INF_LOG, v[-1]), spec)
+        return -loglik(WorkingParams(v[:-1], _LOG_PHI_INF, v[-1]), spec)
 
     best = -math.inf
     for x0 in ([*result.working.beta, result.working.logit_theta],
@@ -375,7 +370,8 @@ def _phi_inf_maximum(spec, result) -> float:
 
 class TestDetectionRateFit:
     """The detection scale is fitted on eta = 1/phi over its range
-    [0, inf), and log phi is reported capped at the saturation knee."""
+    [0, inf), and log phi is reported capped where the likelihood itself
+    reads phi as inf."""
 
     def test_flat_phi_fit_reports_its_maximum(self, default_study_specs):
         """Replicate 0 fused-distance: eta is within one SE of 0, and the
@@ -388,18 +384,21 @@ class TestDetectionRateFit:
         assert result.has_covariance
         lo, hi = result.cis["log_phi"]
         assert math.isfinite(lo) and math.isfinite(hi)
-        assert lo <= result.working.log_phi <= hi <= phi_saturation_knee(spec)
+        assert lo <= result.working.log_phi <= hi
         assert "weakly identified" not in result.message
 
-    def test_rate_past_its_bound_is_reported_at_the_knee(self,
-                                                         default_study_specs):
+    def test_rate_past_its_bound_is_reported_at_phi_inf(self,
+                                                        default_study_specs):
         """Replicate 0 fused-region: the maximum over eta lies below 0, so
-        eta is held at 0 (phi = inf) and log phi reported at the knee."""
+        eta is held at 0 (phi = inf), and log phi is reported where the
+        likelihood is that of eta = 0 to the bit."""
         spec = default_study_specs(0)["fused-region"]
         result = fit(spec, settings=FitSettings(n_starts=2))
-        knee = phi_saturation_knee(spec)
-        log_phi = result.working.log_phi
-        assert log_phi == pytest.approx(knee, rel=0.0, abs=1e-12)
+        wp = result.working
+        log_phi = wp.log_phi
+        assert log_phi == _LOG_PHI_INF
+        assert result.loglik == loglik(
+            RateParams(wp.beta, 0.0, wp.logit_theta), spec)
         assert math.log(result.params.phi) == log_phi
         assert result.has_covariance
         assert np.isfinite(result.covariance).all()
@@ -408,19 +407,17 @@ class TestDetectionRateFit:
         assert math.isfinite(lo) and lo <= log_phi == hi
         assert "bound" in result.message
         assert result.loglik == loglik(result.working, spec)
+
         # eta's variance at the bound is the inverse of its own curvature,
         # here resolved with a step of a quarter SE. A Hessian step of
         # 1e-4 * max(1, |eta|) reads it 7 % high.
-        wp = result.working
-
         def nll_at(eta):
             return -loglik(RateParams(wp.beta, eta, wp.logit_theta), spec)
 
         h = 10.0
         curvature = (nll_at(h) - 2.0 * nll_at(0.0) + nll_at(-h)) / h ** 2
         assert result.se["eta"] == pytest.approx(curvature ** -0.5, rel=1e-3)
-        # The knee stands in for phi = inf to within float noise.
-        assert result.loglik >= _phi_inf_maximum(spec, result) - 1e-2
+        assert result.loglik >= _phi_inf_maximum(spec, result) - 1e-6
 
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -601,8 +598,7 @@ class TestProjectedNewton:
 class TestFitSettings:
     """A setting that ``fit`` would ignore or crash on is refused by name."""
 
-    BAD = (("n_starts", -3), ("n_starts", 0), ("max_iter", 0),
-           ("start_seed", -1))
+    BAD = (("n_starts", -3), ("n_starts", 0))
 
     @pytest.mark.parametrize("name,value", BAD)
     def test_fit_refuses(self, name, value, toy_specs):

@@ -20,6 +20,7 @@ from conftest import make_toy_spec
 from fusedsdm import likelihoods
 from fusedsdm.covariates import CovariateField, simulate_grf
 from fusedsdm.errors import ConfigError, DataError
+from fusedsdm.estimation import _LOG_PHI_INF
 from fusedsdm.experiment import StudyConfig, _build_spec
 from fusedsdm.geometry import (
     SampledRegion,
@@ -711,6 +712,26 @@ class TestUnderflowedScale:
                 assert not math.isnan(loglik(wp, toy_specs[scenario]))
 
 
+class TestSaturatedScale:
+    @pytest.mark.parametrize("native", (True, False))
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(max_examples=10, deadline=None)
+    @given(beta0=st.floats(-5.0, 12.0), beta1=st.floats(-3.0, 3.0),
+           logit_theta=st.floats(-40.0, 40.0))
+    def test_log_phi_past_the_cap_is_phi_inf_to_the_bit(
+            self, scenario, native, beta0, beta1, logit_theta, toy_field,
+            toy_design, toy_region, toy_partitions, toy_data):
+        """fit reports phi = inf as log phi = _LOG_PHI_INF: loglik there,
+        and further out, equals loglik at eta = 0 to the bit."""
+        spec = make_toy_spec(scenario, toy_field, toy_design, toy_region,
+                             toy_partitions, toy_data, native)
+        beta = np.array([beta0, beta1])
+        at_inf = loglik(RateParams(beta, 0.0, logit_theta), spec)
+        for log_phi in (_LOG_PHI_INF, 800.0):
+            assert loglik(WorkingParams(beta, log_phi, logit_theta),
+                          spec) == at_inf
+
+
 def _logit(t):
     if t <= 0.0:
         return -math.inf
@@ -757,8 +778,8 @@ def _without_captures(toy_data, toy_partitions, toy_design):
     captured entries alone, where mu = theta * T)."""
     obs, partial = (dataclasses.replace(
         o, cr_unit=o.cr_unit[:0],
-        cr_loc=None if o.cr_loc is None else o.cr_loc[:0],
-        observed_flags=None) for o in (toy_data["obs"], toy_data["partial"]))
+        cr_loc=None if o.cr_loc is None else o.cr_loc[:0])
+        for o in (toy_data["obs"], toy_data["partial"]))
     return {"obs": obs, "partial": partial,
             "counts": aggregate_counts(partial, toy_partitions, toy_design)}
 

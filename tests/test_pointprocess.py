@@ -157,8 +157,10 @@ class TestSimulateObservation:
             assert math.hypot(loc[0] - 0.25, loc[1] - 0.25) <= 0.04
         for loc in obs.cr_loc:
             assert math.hypot(loc[0] - 0.75, loc[1] - 0.75) <= 0.02
-        flagged = pattern.locations[obs.observed_flags]
-        assert len(flagged) == obs.n
+        # Each observation is a distinct individual of the pattern.
+        observed = {tuple(loc) for loc in (*obs.ds_loc, *obs.cr_loc)}
+        assert len(observed) == obs.n
+        assert observed <= {tuple(loc) for loc in pattern.locations}
     def test_overlapping_design_rejected(self):
         params = ModelParams(np.array([0.0]), 0.025, 0.2)
         design = SurveyDesign((
