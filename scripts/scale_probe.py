@@ -5,8 +5,10 @@ Size k takes the default study's grid at resolution 0.01 / k (10k, 40k and
 per side, radii and jitter divided by k (80, 320 and 1,280 units). Per size
 the script prints one JSON line: the median seconds of ``simulate_grf``,
 ``build_study_design`` (the jittered lattice and ``_repair_overlaps``),
-``_repair_overlaps`` alone, ``check_nonoverlap`` and ``build_partitions``
-over a few repeats, and the peak RSS of the process that ran that size.
+``_repair_overlaps`` alone, ``check_nonoverlap``, ``build_partitions`` and
+the fused-distance prepare of one simulated dataset (its design tables
+already built) over a few repeats, that prepare's count of line-support
+entries, and the peak RSS of the process that ran that size.
 Each size runs in a fresh process, with one BLAS thread:
 
     python3 scripts/scale_probe.py                 # sizes 1 2 4
@@ -14,7 +16,7 @@ Each size runs in a fresh process, with one BLAS thread:
     python3 scripts/scale_probe.py --src ../other/src
 
 The three sizes take 7-10 s in all with the per-pair set-up code that the
-array passes replaced, and under 2 s with them (2-core machine).
+array passes replaced, and under 3 s with them (2-core machine).
 """
 
 import argparse
@@ -53,6 +55,25 @@ def scaled_design(fs, seed, factor):
     return geometry.SurveyDesign(tuple(units))
 
 
+def fused_distance_specs(fs, config, field, design, seed, repeats):
+    """``repeats`` unprepared fused-distance specs of one dataset drawn on
+    ``field`` and ``design``, with the design tables that they share
+    already built."""
+    import numpy as np
+
+    pp, lk = fs.pointprocess, fs.likelihoods
+    rng = np.random.default_rng(seed)
+    pattern = pp.simulate_ippp(config.truth, field, config.region, rng)
+    partial = pp.degrade_to_partial(
+        pp.simulate_observation(pattern, design, config.truth, rng))
+    lk.design_tables(design, field, config.region, config.quadrature,
+                     scenarios=(lk.SCENARIO_FUSED_DISTANCE,))
+    return [lk.LikelihoodSpec(lk.SCENARIO_FUSED_DISTANCE, design, field,
+                              obs=partial, region=config.region,
+                              quadrature=config.quadrature)
+            for _ in range(repeats)]
+
+
 def _median_seconds(call, repeats):
     times, result = [], None
     for _ in range(repeats):
@@ -81,11 +102,16 @@ def probe(fs, size, repeats, seed=1):
         lambda: fs.geometry.build_partitions(
             config.region, config.partitions_nx, config.partitions_ny,
             design), repeats)
+    specs = fused_distance_specs(fs, config, field, design, seed, repeats)
+    prepare_s, prepared = _median_seconds(lambda: specs.pop().prepared(),
+                                          repeats)
     return {"size": size, "cells": field.n_cells,
             "units": len(design.regions), "nonoverlapping": ok,
             "simulate_grf_s": grf_s, "build_study_design_s": design_s,
             "repair_overlaps_s": repair_s, "check_nonoverlap_s": check_s,
             "build_partitions_s": partitions_s,
+            "fused_distance_prepare_s": prepare_s,
+            "line_entries": len(prepared.undetected.cell),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
@@ -113,6 +139,8 @@ def main(argv=None):
     import fusedsdm.covariates
     import fusedsdm.experiment
     import fusedsdm.geometry
+    import fusedsdm.likelihoods
+    import fusedsdm.pointprocess
 
     print(json.dumps(probe(fusedsdm, args.sizes[0], args.repeats)),
           flush=True)

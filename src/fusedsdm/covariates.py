@@ -77,16 +77,24 @@ class CovariateField:
         containing each location; the east/north edges fold into the last
         cell so the closed region is covered."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        eps = 1e-12
-        out = (
-            (pts[:, 0] < self.x0 - eps) | (pts[:, 0] > self.xmax + eps)
-            | (pts[:, 1] < self.y0 - eps) | (pts[:, 1] > self.ymax + eps)
-        )
+        out = self.off_grid(pts[:, 0], pts[:, 1])
         if out.any():
             k = int(np.argmax(out))
             raise DataError(f"location {tuple(pts[k])} is outside the field grid")
-        ix = np.clip(np.floor((pts[:, 0] - self.x0) / self.dx).astype(int), 0, self.nx - 1)
-        iy = np.clip(np.floor((pts[:, 1] - self.y0) / self.dy).astype(int), 0, self.ny - 1)
+        return self.cell_of(pts[:, 0], pts[:, 1])
+
+    def off_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Whether each location (x, y) lies further outside the grid than
+        ``cell_index`` folds into its edge cells (1e-12)."""
+        eps = 1e-12
+        return ((x < self.x0 - eps) | (x > self.xmax + eps)
+                | (y < self.y0 - eps) | (y > self.ymax + eps))
+
+    def cell_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``cell_index`` of locations (x, y), arrays of one shape, that are
+        known not to lie ``off_grid``: nothing is checked."""
+        ix = np.clip(np.floor((x - self.x0) / self.dx).astype(int), 0, self.nx - 1)
+        iy = np.clip(np.floor((y - self.y0) / self.dy).astype(int), 0, self.ny - 1)
         return iy * self.nx + ix
 
     def cell_centers(self) -> np.ndarray:

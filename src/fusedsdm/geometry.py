@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -260,10 +261,10 @@ class SurveyDesign:
     regions: tuple[SampledRegion, ...]
 
     def __post_init__(self):
-        by_id = {r.unit.id: r for r in self.regions}
-        if len(by_id) != len(self.regions):
+        position = {r.unit.id: k for k, r in enumerate(self.regions)}
+        if len(position) != len(self.regions):
             raise ConfigError("duplicate unit ids in design")
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_position", position)
 
     @property
     def ds_regions(self) -> tuple[SampledRegion, ...]:
@@ -279,9 +280,15 @@ class SurveyDesign:
 
     def region_by_id(self, unit_id: str) -> SampledRegion:
         try:
-            return self._by_id[unit_id]
+            return self.regions[self._position[unit_id]]
         except KeyError:
             raise DataError(f"unknown unit id {unit_id!r}") from None
+
+    def positions(self, unit_ids) -> np.ndarray:
+        """Each id's position in ``regions``, -1 for an id of no unit, in
+        one pass over the ids."""
+        return np.fromiter(map(self._position.get, unit_ids, repeat(-1)),
+                           dtype=int, count=len(unit_ids))
 
 
 def _spacing_layout(lo, hi, spacing):

@@ -35,10 +35,14 @@ theta). Groups with n_g = 0 add exactly 0. The scenarios are data:
 lambda is constant within a field cell, so every table merges its nodes
 at prepare time into one entry per (group, field cell): 85k CR and 126k
 line nodes become about 1.3k and 20k entries on a default-study
-replicate. Detected tables keep their nodes' distances, one run of nodes
-per entry, and sum w * exp(-d^2/phi) over each run before lambda
-multiplies it. lambda is computed only on the field cells that a spec's
-tables touch. The region entries depend on the design and not on the data
+replicate. The line supports are laid out as one row of template nodes
+per DS observation (``_line_nodes``), and each row is merged by sorting
+its own cells; only rows that reach past the study region or the field
+grid, and every row of a masked region, test their nodes one by one.
+Detected tables keep their nodes' distances, one run of nodes per entry,
+and sum w * exp(-d^2/phi) over each run before lambda multiplies it.
+lambda is computed only on the field cells that a spec's tables touch.
+The region entries depend on the design and not on the data
 (``design_tables``), so the process keeps the few most recently used, and
 every spec of the same design inputs shares them.
 
@@ -68,6 +72,7 @@ import numpy as np
 from .covariates import CovariateField, region_of
 from .errors import ConfigError, DataError
 from .geometry import (
+    TRANSECT,
     PartitionGrid,
     StudyRegion,
     SurveyDesign,
@@ -258,8 +263,19 @@ class LikelihoodSpec:
                 "complete-data likelihood needs true locations "
                 "(x,y columns are missing from the observations)"
             )
-        # Every referenced unit must exist (region_by_id raises DataError).
-        for uid, d in zip(self.obs.ds_unit, self.obs.ds_distance):
+        # Every referenced unit must exist and be of its survey's kind. The
+        # checks run over all observations at once; the ones they flag are
+        # checked again one by one, in order, and the first raises.
+        # An unknown id's position, -1, reads the appended entries.
+        regions = self.design.regions
+        is_ds = np.array([r.is_ds for r in regions] + [False])
+        unit = self.design.positions(self.obs.ds_unit)
+        d = np.asarray(self.obs.ds_distance)
+        ok = is_ds[unit] & (d >= 0.0) & (d < math.inf)
+        if s == SCENARIO_FUSED_DISTANCE:
+            ok &= d <= np.array([r.radius for r in regions] + [0.0])[unit]
+        for i in np.flatnonzero(~ok):
+            uid, d = self.obs.ds_unit[i], self.obs.ds_distance[i]
             r = self.design.region_by_id(uid)
             if not r.is_ds:
                 raise DataError(f"DS observation references non-DS unit {uid!r}")
@@ -271,7 +287,9 @@ class LikelihoodSpec:
                     f"recorded distance {d} exceeds truncation radius "
                     f"{r.radius} of unit {uid!r}"
                 )
-        for uid in self.obs.cr_unit:
+        unit = self.design.positions(self.obs.cr_unit)
+        for i in np.flatnonzero(is_ds[unit] | (unit < 0)):
+            uid = self.obs.cr_unit[i]
             if self.design.region_by_id(uid).is_ds:
                 raise DataError(f"CR observation references non-trap unit {uid!r}")
 
@@ -439,13 +457,21 @@ class DesignTables:
     def _serves(self, design, field, region, quadrature, partitions,
                 scenarios) -> bool:
         """Whether these tables hold ``scenarios`` built from these inputs:
-        the same design, field and (farr, cos) partitions objects, and an
-        equal region and quadrature."""
+        the same design and field objects, an equal region and quadrature,
+        and (farr, cos) equal partitions."""
         return (self.design is design and self.field is field
                 and self.region == region and self.quadrature == quadrature
                 and self.tables.keys() >= set(scenarios)
-                and (self.partitions is partitions or not any(
+                and (_same_partitions(self.partitions, partitions) or not any(
                     s in (SCENARIO_FARR, SCENARIO_COS) for s in scenarios)))
+
+
+def _same_partitions(a: PartitionGrid | None, b: PartitionGrid | None) -> bool:
+    """Whether two partition grids tile an equal region alike and flag the
+    same cells sampled: ``run_study`` builds a new grid on every call."""
+    return a is b or (a is not None and b is not None and a.region == b.region
+                      and (a.nx, a.ny) == (b.nx, b.ny)
+                      and np.array_equal(a.sampled, b.sampled))
 
 
 # How many of the most recently used design tables the process keeps.
@@ -528,33 +554,126 @@ def _by_cell_tables(scenario, partitions, field, ds, cr):
 
 def _line_nodes(spec: LikelihoodSpec, ds_order: np.ndarray,
                 ds_upos: np.ndarray):
-    """Each DS observation's line support as uniform weights: (w, field
-    cell, observation index in canonical order). Supports are intersected
-    with the study region (individuals only exist inside it) and
-    renormalized."""
+    """Each DS observation's line support, merged by field cell: (w, cell,
+    observation index in canonical order), one entry per distinct
+    (observation, cell) in that order. Supports are intersected with the
+    study region (individuals only exist inside it) and renormalized: an
+    entry weighs ``np.add.reduceat`` over its nodes' equal 1/n_keep.
+
+    Each observation is one row of its unit's template nodes at its
+    distance: the point units' rows in one block, each transect's rows in
+    a block of their own. A row whose bounding box (the unit's anchors
+    +- d) lies within the study region and the field grid keeps every node
+    and takes ``CovariateField.cell_of`` unchecked. The other rows, and
+    every row of a masked region, test each node with
+    ``StudyRegion.contains`` and ``CovariateField.off_grid``, so a support
+    outside the region or off the grid raises ``cell_index``'s DataError
+    for the same first unit, distance and location as node by node. Each
+    row then sorts its own cells, and equal neighbours form one entry."""
     dist = spec.obs.ds_distance[ds_order]
     upos = ds_upos[ds_order]
-    regions = spec.design.ds_regions
-    w, cell, group = [np.zeros(0)], [np.zeros(0, dtype=int)], \
-        [np.zeros(0, dtype=int)]
+    units = [r.unit for r in spec.design.ds_regions]
+    blocks = []   # (rows, anchors x and y, directions x and y)
+    point = np.array([u.kind != TRANSECT for u in units], dtype=bool)
+    rows = np.flatnonzero(point[upos])
+    if len(rows):
+        loc = np.zeros((len(units), 2))
+        loc[point] = [u.xy for u in units if u.kind != TRANSECT]
+        # Every circle has the same directions.
+        _, direction = line_template(units[upos[rows[0]]])
+        blocks.append((rows, *loc[upos[rows]].T[:, :, None],
+                       *direction.T[:, None, :]))
     # The canonical order puts each unit's observations in one run.
     starts = np.flatnonzero(np.diff(upos, prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(upos))):
-        reg = regions[upos[lo]]
-        anchor, direction = line_template(reg.unit)
-        pts = anchor + dist[lo:hi, None, None] * direction
-        keep = spec.region.contains(pts.reshape(-1, 2)).reshape(hi - lo, -1)
-        n_keep = keep.sum(axis=1)
-        if not n_keep.all():
-            k = lo + int(np.argmin(n_keep))
-            raise DataError(
-                f"observed-location support for unit {reg.unit.id!r} at "
-                f"distance {dist[k]} lies outside the region"
-            )
-        w.append(np.repeat(1.0 / n_keep, n_keep))
-        cell.append(spec.field.cell_index(pts[keep]))
-        group.append(np.repeat(np.arange(lo, hi), n_keep))
-    return np.concatenate(w), np.concatenate(cell), np.concatenate(group)
+        if not point[upos[lo]]:
+            anchor, direction = line_template(units[upos[lo]])
+            blocks.append((np.arange(lo, hi), *anchor.T[:, None, :],
+                           *direction.T[:, None, :]))
+
+    n_keep = np.zeros(len(upos), dtype=int)
+    off = np.zeros(len(upos), dtype=bool)
+    cells = []
+    for rows, ax, ay, ux, uy in blocks:
+        block_cells, n_keep[rows], off[rows] = _support_rows(
+            spec, ax, ay, ux, uy, dist[rows])
+        cells.append(block_cells)
+    if not n_keep.all() or off.any():
+        _raise_support_error(spec, units, dist, upos, n_keep, off)
+
+    w, cell, group = [np.zeros(0)], [np.zeros(0, dtype=int)], \
+        [np.zeros(0, dtype=int)]
+    for (rows, *_), block_cells in zip(blocks, cells):
+        start = np.ones(block_cells.shape, dtype=bool)
+        np.not_equal(block_cells[:, 1:], block_cells[:, :-1], out=start[:, 1:])
+        keep = n_keep[rows]
+        kept = np.arange(block_cells.shape[1]) < keep[:, None]
+        whole = kept.all()
+        start &= kept
+        group.append(np.repeat(rows, np.count_nonzero(start, axis=1)))
+        block_cells, start = ((block_cells.ravel(), start.ravel()) if whole
+                              else (block_cells[kept], start[kept]))
+        first = np.flatnonzero(start)
+        w.append(np.add.reduceat(np.repeat(1.0 / keep, keep), first))
+        cell.append(block_cells[first])
+    w, cell, group = (np.concatenate(a) for a in (w, cell, group))
+    if (np.diff(group) < 0).any():   # transects between point units
+        order = np.argsort(group, kind="stable")
+        w, cell, group = w[order], cell[order], group[order]
+    return w, cell, group
+
+
+def _support_rows(spec, ax, ay, ux, uy, dist):
+    """One block of line supports, a row of nodes (ax + d ux, ay + d uy)
+    per distance d of ``dist``: anchors per row (n, 1) or per node (1, L),
+    directions per node (1, L). Returns each row's kept cells sorted, with
+    ``n_cells`` in place of the dropped nodes after them, its kept node
+    count, and whether a kept node lies off the field grid."""
+    field, region = spec.field, spec.region
+    d = dist[:, None]
+    x, y = ax + d * ux, ay + d * uy
+    # |d * u| <= d * max|u| survives rounding, as do the sums below, so
+    # every node of a row lies within lo..hi.
+    rx, ry = dist * np.abs(ux).max(), dist * np.abs(uy).max()
+    lo = np.column_stack([ax.min(axis=1) - rx, ay.min(axis=1) - ry])
+    hi = np.column_stack([ax.max(axis=1) + rx, ay.max(axis=1) + ry])
+    whole = ~(field.off_grid(*lo.T) | field.off_grid(*hi.T))
+    if region.mask is None:
+        whole &= region.contains(lo) & region.contains(hi)
+    else:
+        whole[:] = False
+    cells = field.cell_of(x, y)
+    n_keep = np.full(len(dist), x.shape[1])
+    off = np.zeros(len(dist), dtype=bool)
+    part = np.flatnonzero(~whole)
+    if len(part):
+        px, py = x[part], y[part]
+        keep = region.contains(np.column_stack([px.ravel(), py.ravel()])
+                               ).reshape(px.shape)
+        n_keep[part] = keep.sum(axis=1)
+        off[part] = (field.off_grid(px, py) & keep).any(axis=1)
+        cells[part] = np.where(keep, cells[part], field.n_cells)
+    cells.sort(axis=1)
+    return cells, n_keep, off
+
+
+def _raise_support_error(spec, units, dist, upos, n_keep, off):
+    """The DataError of the first unit with a support outside the region
+    or a kept node off the field grid: an empty support first, as node by
+    node."""
+    unit = upos[np.argmax((n_keep == 0) | off)]
+    mine = upos == unit
+    empty = mine & (n_keep == 0)
+    if empty.any():
+        k = int(np.argmax(empty))
+        raise DataError(
+            f"observed-location support for unit {units[unit].id!r} at "
+            f"distance {dist[k]} lies outside the region"
+        )
+    k = int(np.argmax(mine & off))
+    anchor, direction = line_template(units[unit])
+    pts = anchor + dist[k] * direction
+    spec.field.cell_index(pts[spec.region.contains(pts)])
 
 
 def _canonical_order(upos, loc, *keys) -> np.ndarray:
@@ -571,7 +690,7 @@ def _point_nodes(field: CovariateField, loc: np.ndarray, first_group: int):
             first_group + np.arange(len(loc)))
 
 
-_NO_NODES = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+_NO_ENTRIES = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 # How many phi values' detected run sums a spec keeps: the central-difference
 # Hessian visits three, its centre and a step either side.
 _RECENT_PHI = 4
@@ -584,8 +703,8 @@ class _Prepared:
     index; ``n``/``m`` are the counts and measures of the ``observed``
     groups (n_g > 0); the first ``n_exposed`` groups are exposed. The tables
     number the touched field ``cells`` 0, 1, ..., and ``X`` holds their rows.
-    The region entries come from ``design_tables``; the data's nodes,
-    merged, follow them.
+    The region entries come from ``design_tables``; the data's entries
+    (one per location, or ``_line_nodes``' merged supports) follow them.
     ``entry_group`` and ``entry_X`` hold the group and covariate row of
     every entry of the three tables in turn.
     """
@@ -601,11 +720,11 @@ class _Prepared:
         self.max_d2 = max(regions.max_d2, float(recorded.max(initial=0.0)))
 
         detected, region_captured = regions.tables[spec.scenario]
+        undetected, captured = (_GroupedTable(cell, group, len(n), w)
+                                for w, cell, group in (undetected, captured))
         tables = (replace(detected, n_groups=len(n)),
-                  _GroupedTable.dealt(len(n), _GroupedTable.merged(
-                      *undetected, len(n))),
-                  _GroupedTable.dealt(len(n), region_captured,
-                                      _GroupedTable.merged(*captured, len(n))))
+                  _GroupedTable.dealt(len(n), undetected),
+                  _GroupedTable.dealt(len(n), region_captured, captured))
         touched = np.zeros(spec.field.n_cells, dtype=bool)
         for table in tables:
             touched[table.cell] = True
@@ -648,7 +767,7 @@ class _Prepared:
         self.n_exposed, self.obs_d2 = len(n), np.zeros(0)
         self.log_n_factorial = float(np.array(
             [math.lgamma(k + 1.0) for k in n]).sum())
-        return _NO_NODES, _NO_NODES, n, np.ones(len(n)), np.zeros(0)
+        return _NO_ENTRIES, _NO_ENTRIES, n, np.ones(len(n)), np.zeros(0)
 
     def _by_unit(self, spec, regions):
         """Groups are the DS regions, the CR regions, then (complete,
@@ -657,10 +776,11 @@ class _Prepared:
         obs, scenario = spec.obs, spec.scenario
         n_ds_regions = len(regions.ds_measure)
         self.n_exposed = n_ds_regions + len(regions.cr_measure)
-        ds_pos = {r.unit.id: k for k, r in enumerate(spec.design.ds_regions)}
-        cr_pos = {r.unit.id: k for k, r in enumerate(spec.design.cr_regions)}
-        ds_upos = np.array([ds_pos[u] for u in obs.ds_unit], dtype=int)
-        cr_upos = np.array([cr_pos[u] for u in obs.cr_unit], dtype=int)
+        # Positions among the DS and among the CR regions, in design order.
+        is_ds = np.array([r.is_ds for r in spec.design.regions], dtype=bool)
+        rank = np.where(is_ds, np.cumsum(is_ds), np.cumsum(~is_ds)) - 1
+        ds_upos = rank[spec.design.positions(obs.ds_unit)]
+        cr_upos = rank[spec.design.positions(obs.cr_unit)]
         ds_order = _canonical_order(ds_upos, obs.ds_loc, obs.ds_distance)
         cr_order = _canonical_order(cr_upos, obs.cr_loc)
         recorded = obs.ds_distance[ds_order] ** 2
@@ -675,7 +795,7 @@ class _Prepared:
         if scenario != SCENARIO_COMPLETE:
             n[n_ds_regions:] = np.bincount(cr_upos,
                                            minlength=len(regions.cr_measure))
-        undetected, captured, points = _NO_NODES, _NO_NODES, 0
+        undetected, captured, points = _NO_ENTRIES, _NO_ENTRIES, 0
         if scenario == SCENARIO_COMPLETE:
             undetected = _point_nodes(spec.field, obs.ds_loc[ds_order],
                                       self.n_exposed)

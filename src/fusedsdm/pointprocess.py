@@ -186,15 +186,13 @@ def aggregate_counts(obs: ObservationSet, partitions: PartitionGrid,
     reference point (the point/trap location, or the transect midpoint),
     so totals are conserved and land only in sampled cells.
     """
-    counts = np.zeros(partitions.n_cells, dtype=int)
     points = np.array([r.unit.reference_point for r in design.regions])
-    ref_cell = dict(zip((r.unit.id for r in design.regions),
-                        partitions.cell_index(points.reshape(-1, 2)).tolist()))
-    for uid in (*obs.ds_unit, *obs.cr_unit):
-        if uid not in ref_cell:
-            raise DataError(f"unknown unit id {uid!r}")
-        counts[ref_cell[uid]] += 1
-    return counts
+    ref_cell = partitions.cell_index(points.reshape(-1, 2))
+    unit_ids = (*obs.ds_unit, *obs.cr_unit)
+    unit = design.positions(unit_ids)
+    if (unit < 0).any():
+        raise DataError(f"unknown unit id {unit_ids[np.argmax(unit < 0)]!r}")
+    return np.bincount(ref_cell[unit], minlength=partitions.n_cells)
 
 
 DS_SOURCE = "ds"

@@ -4,6 +4,7 @@ calculations, and structural invariants."""
 import dataclasses
 import gc
 import math
+import os
 import struct
 import sys
 import threading
@@ -18,7 +19,12 @@ from scipy.special import gammaln
 import oracles
 from conftest import make_toy_spec
 from fusedsdm import likelihoods
-from fusedsdm.covariates import CovariateField, simulate_grf
+from fusedsdm.covariates import (
+    CovariateField,
+    ingest_raster,
+    region_of,
+    simulate_grf,
+)
 from fusedsdm.errors import ConfigError, DataError
 from fusedsdm.estimation import _LOG_PHI_INF
 from fusedsdm.experiment import StudyConfig, _build_spec
@@ -29,6 +35,7 @@ from fusedsdm.geometry import (
     SurveyUnit,
     build_partitions,
     line_template,
+    load_design,
     region_nodes,
 )
 from fusedsdm.likelihoods import (
@@ -47,10 +54,13 @@ from fusedsdm.pointprocess import (
     ObservationSet,
     aggregate_counts,
     degrade_to_partial,
+    load_observations,
     simulate_ippp,
     simulate_observation,
 )
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures", "demo")
 SCENARIOS = ("complete", "aggregated-farr", "aggregated-cos",
              "fused-region", "fused-distance")
 
@@ -383,6 +393,39 @@ class TestFusedDistance:
         assert got == pytest.approx(want, rel=1e-10)
 
 
+class TestObservationChecks:
+    """With several offending observations the error names the first, DS
+    before CR, by the first check it fails, as checking one by one does."""
+
+    @pytest.mark.parametrize("scenario, ds, distances, cr, text", [
+        ("fused-distance", ["pt", "tr", "pt", "zz", "tr"],
+         [0.1, 0.2, math.nan, 0.1, -1.0], ["tr"],
+         "recorded distance 0.2 exceeds truncation radius 0.15 of unit 'tr'"),
+        ("fused-region", ["pt", "tr", "pt", "zz", "tr"],
+         [0.1, 0.2, math.nan, 0.1, -1.0], ["tr"],
+         "recorded distance nan of unit 'pt' must be finite and >= 0"),
+        ("fused-region", ["pt", "cr", "zz", "pt"],
+         [0.1, 0.1, 0.1, math.inf], [],
+         "DS observation references non-DS unit 'cr'"),
+        ("fused-distance", ["tr", "zz", "cr"], [-1.0, 0.1, 0.1], [],
+         "recorded distance -1.0 of unit 'tr' must be finite and >= 0"),
+        ("fused-distance", ["tr", "zz", "cr"], [0.1, 0.1, 0.1], [],
+         "unknown unit id 'zz'"),
+        ("fused-distance", ["pt"], [0.1], ["cr", "tr", "zz", "pt"],
+         "CR observation references non-trap unit 'tr'"),
+        ("fused-region", ["pt"], [0.1], ["cr", "zz", "tr"],
+         "unknown unit id 'zz'"),
+    ])
+    def test_first_offending_observation_is_named(
+            self, toy_design, toy_field, scenario, ds, distances, cr, text):
+        obs = ObservationSet(ds_unit=np.array(ds, dtype=object),
+                             ds_distance=np.array(distances),
+                             cr_unit=np.array(cr, dtype=object))
+        with pytest.raises(DataError) as err:
+            LikelihoodSpec(scenario, toy_design, toy_field, obs=obs)
+        assert str(err.value) == text
+
+
 class TestQuadratureSettings:
     @pytest.mark.parametrize("name, value", [
         ("spacing_fraction", -1.0), ("spacing_fraction", 0.0),
@@ -699,6 +742,169 @@ class TestMergedTables:
         detected = spec.prepared().detected
         assert n_pairs < len(xy) == len(detected.w) == len(detected.d2)
         assert len(detected.cell) == n_pairs
+
+
+def _support_inputs(spec):
+    """The canonical DS order and the DS unit positions that ``_by_unit``
+    passes to ``_line_nodes``."""
+    obs = spec.obs
+    ds_pos = {r.unit.id: k for k, r in enumerate(spec.design.ds_regions)}
+    upos = np.array([ds_pos[u] for u in obs.ds_unit], dtype=int)
+    return (likelihoods._canonical_order(upos, obs.ds_loc, obs.ds_distance),
+            upos)
+
+
+def _node_by_node_supports(spec, ds_order, ds_upos):
+    """The line supports built unit by unit, each node tested with
+    ``StudyRegion.contains`` and given its cell by ``cell_index``, then all
+    nodes merged by (observation, cell): (w, cell, observation)."""
+    dist, upos = spec.obs.ds_distance[ds_order], ds_upos[ds_order]
+    regions = spec.design.ds_regions
+    w, cell, group = [np.zeros(0)], [np.zeros(0, dtype=int)], \
+        [np.zeros(0, dtype=int)]
+    starts = np.flatnonzero(np.diff(upos, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(upos))):
+        reg = regions[upos[lo]]
+        anchor, direction = line_template(reg.unit)
+        pts = anchor + dist[lo:hi, None, None] * direction
+        keep = spec.region.contains(pts.reshape(-1, 2)).reshape(hi - lo, -1)
+        n_keep = keep.sum(axis=1)
+        if not n_keep.all():
+            k = lo + int(np.argmin(n_keep))
+            raise DataError(
+                f"observed-location support for unit {reg.unit.id!r} at "
+                f"distance {dist[k]} lies outside the region")
+        w.append(np.repeat(1.0 / n_keep, n_keep))
+        cell.append(spec.field.cell_index(pts[keep]))
+        group.append(np.repeat(np.arange(lo, hi), n_keep))
+    table = _GroupedTable.merged(np.concatenate(w), np.concatenate(cell),
+                                 np.concatenate(group), len(dist))
+    return table.w, table.cell, table.group
+
+
+def _ds_obs(units, distances):
+    return ObservationSet(ds_unit=np.array(units, dtype=object),
+                          ds_distance=np.array(distances, dtype=float),
+                          cr_unit=np.array([], dtype=object))
+
+
+class TestLineSupports:
+    """``_line_nodes`` builds each support as one row and merges it by
+    sorting its own cells; every entry keeps the bits of the supports
+    built node by node and merged by (observation, cell)."""
+
+    @staticmethod
+    def _assert_same_bits(spec):
+        order, upos = _support_inputs(spec)
+        got = likelihoods._line_nodes(spec, order, upos)
+        want = _node_by_node_supports(spec, order, upos)
+        for name, a, b in zip(("w", "cell", "group"), got, want):
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        return got
+
+    @staticmethod
+    def _assert_same_error(spec):
+        order, upos = _support_inputs(spec)
+        with pytest.raises(DataError) as want:
+            _node_by_node_supports(spec, order, upos)
+        with pytest.raises(DataError) as got:
+            likelihoods._line_nodes(spec, order, upos)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    def test_point_units_of_the_default_study(self, study_replicate_0):
+        config, field, _, (_, partial, _) = study_replicate_0
+        spec = LikelihoodSpec("fused-distance", config.design, field,
+                              obs=partial, region=config.region)
+        _, _, group = self._assert_same_bits(spec)
+        assert np.array_equal(np.unique(group), np.arange(partial.n_ds))
+
+    def test_transects_of_the_demo_fixture(self):
+        field = ingest_raster([os.path.join(FIXTURES, "covariate.asc")])
+        design = load_design(os.path.join(FIXTURES, "design.csv"))
+        obs = load_observations(os.path.join(FIXTURES, "observations.csv"))
+        assert {r.unit.kind for r in design.ds_regions} == {"transect"}
+        self._assert_same_bits(LikelihoodSpec(
+            "fused-distance", design, field, obs=obs, region=region_of(field)))
+
+    def test_masked_region_cuts_supports(self, toy_field, toy_design):
+        """A mask west of x = 0.2 cuts the circles of 'pt' (0.3, 0.3) past
+        d = 0.1; the radii 0.21 and 0.15 and distance 0 are included."""
+        region = StudyRegion(0.0, 0.0, 1.0, 1.0,
+                             mask=((0.2, 0.0), (1.0, 0.0), (1.0, 1.0),
+                                   (0.2, 1.0)))
+        obs = _ds_obs(["pt"] * 5 + ["tr"] * 3,
+                      [0.0, 0.05, 0.15, 0.2, 0.21, 0.0, 0.07, 0.15])
+        spec = LikelihoodSpec("fused-distance", toy_design, toy_field,
+                              obs=obs, region=region)
+        self._assert_same_bits(spec)
+        anchor, direction = line_template(toy_design.ds_regions[0].unit)
+        n_keep = [region.contains(anchor + d * direction).sum()
+                  for d in (0.15, 0.21)]
+        assert 0 < min(n_keep) and max(n_keep) < len(anchor)
+
+    def test_points_and_transects_interleaved(self, toy_field):
+        """DS units in the order point, transect, point: the rows of the
+        point block and the transect's block are put back in canonical
+        order."""
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("a", "point", np.array([0.3, 0.3])), 0.2),
+            SampledRegion(SurveyUnit("t", "transect",
+                                     np.array([[0.1, 0.9], [0.9, 0.9]])), 0.1),
+            SampledRegion(SurveyUnit("b", "point", np.array([0.9, 0.1])), 0.2),
+        ))
+        obs = _ds_obs(["b", "t", "a", "b", "t", "a"],
+                      [0.2, 0.1, 0.0, 0.05, 0.0, 0.2])
+        _, _, group = self._assert_same_bits(LikelihoodSpec(
+            "fused-distance", design, toy_field, obs=obs))
+        assert (np.diff(group) >= 0).all()
+
+    def test_support_on_the_grid_east_edge(self, toy_field):
+        """Nodes up to 1e-12 past the grid's east edge fold into its last
+        column; a region reaching that far keeps them."""
+        c = np.abs(line_template(SurveyUnit("p", "point",
+                                            np.zeros(2)))[1][:, 0]).max()
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("p", "point", np.array([0.9, 0.5])),
+                          0.2),))
+        reach = 0.1 / c
+        distances = [0.0, reach, reach * (1 + 2e-13), reach * (1 + 1e-12),
+                     0.2]
+        for xmax in (1.0, 1.0 + 5e-13):
+            spec = LikelihoodSpec(
+                "fused-distance", design, toy_field,
+                obs=_ds_obs(["p"] * len(distances), distances),
+                region=StudyRegion(0.0, 0.0, xmax, 1.0))
+            self._assert_same_bits(spec)
+        edge = (design.regions[0].unit.xy
+                + np.array(distances)[:, None, None]
+                * line_template(design.regions[0].unit)[1])[..., 0].max(axis=1)
+        assert ((edge > 1.0) & (edge <= 1.0 + 1e-12)).any()
+
+    def test_support_outside_the_region(self, toy_field, toy_design):
+        """The transect 'tr' runs along y = 0.9 with radius 0.15."""
+        spec = LikelihoodSpec(
+            "fused-distance", toy_design, toy_field,
+            obs=_ds_obs(["pt", "tr", "tr"], [0.1, 0.05, 0.0]),
+            region=StudyRegion(0.0, 0.0, 1.0, 0.5))
+        text = self._assert_same_error(spec)
+        assert "'tr' at distance 0.0 lies outside" in text
+
+    def test_support_off_the_grid(self, toy_field):
+        """A region wider than the field: the support of 'p' at (0.95, 0.5)
+        keeps nodes east of the grid."""
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("q", "point", np.array([0.5, 0.5])),
+                          0.2),
+            SampledRegion(SurveyUnit("p", "point", np.array([0.95, 0.5])),
+                          0.2),))
+        spec = LikelihoodSpec(
+            "fused-distance", design, toy_field,
+            obs=_ds_obs(["q", "p", "p"], [0.2, 0.01, 0.1]),
+            region=StudyRegion(0.0, 0.0, 1.2, 1.0))
+        text = self._assert_same_error(spec)
+        assert text.endswith("is outside the field grid")
 
 
 class TestUnderflowedScale:
@@ -1018,17 +1224,20 @@ class TestDesignTables:
         inputs = _toy_inputs(toy_field, toy_design, toy_region,
                              toy_partitions)
         _bare_spec(scenario, inputs, toy_data).prepared()
-        # Equal-looking copies: designs, fields and partitions are matched
-        # by identity, regions and quadrature settings by value.
+        # Designs and fields are matched by identity, so equal-looking
+        # copies are not served; partitions, regions and quadrature
+        # settings are matched by value, so these differ.
         inputs[name] = {
             "design": SurveyDesign(toy_design.regions),
             "field": dataclasses.replace(inputs["field"]),
-            "partitions": build_partitions(toy_region, 3, 3, toy_design),
+            "partitions": build_partitions(toy_region, 3, 2, toy_design),
             "region": StudyRegion(0.0, 0.0, 1.0, 0.95),
             "quadrature": QuadratureSettings(spacing_fraction=0.1),
         }[name]
+        data = dict(toy_data, counts=aggregate_counts(
+            toy_data["partial"], inputs["partitions"], toy_design))
         node_layouts.clear()
-        bare = _bare_spec(scenario, inputs, toy_data)
+        bare = _bare_spec(scenario, inputs, data)
         bare.prepared()
         assert len(node_layouts) == 2
         _assert_same_bits(_cold(bare), bare, TOY_POINTS)
@@ -1043,6 +1252,8 @@ class TestDesignTables:
         node_layouts.clear()
         inputs["region"] = dataclasses.replace(toy_region)
         inputs["quadrature"] = QuadratureSettings()
+        inputs["partitions"] = build_partitions(toy_region, 3, 3, toy_design)
+        assert inputs["partitions"] is not toy_partitions
         _bare_spec(scenario, inputs, toy_data).prepared()
         assert node_layouts == []
 

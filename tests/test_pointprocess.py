@@ -1,5 +1,6 @@
 """Latent pattern simulation and the two observation processes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,22 @@ class TestDegradeAndAggregate:
                              cr_unit=np.array([], dtype=object))
         with pytest.raises(DataError, match="unknown unit id 'nowhere'"):
             aggregate_counts(obs, toy_partitions, toy_design)
+
+    def test_aggregate_names_the_first_unknown_unit(self, toy_partitions,
+                                                    toy_design):
+        """DS observations come before CR ones."""
+        obs = ObservationSet(
+            ds_unit=np.array(["pt", "ds-x", "tr", "ds-y"], dtype=object),
+            ds_distance=np.full(4, 0.01),
+            cr_unit=np.array(["cr-x", "cr"], dtype=object))
+        with pytest.raises(DataError) as err:
+            aggregate_counts(obs, toy_partitions, toy_design)
+        assert str(err.value) == "unknown unit id 'ds-x'"
+        obs = dataclasses.replace(obs, ds_unit=np.array(["pt"] * 4,
+                                                        dtype=object))
+        with pytest.raises(DataError) as err:
+            aggregate_counts(obs, toy_partitions, toy_design)
+        assert str(err.value) == "unknown unit id 'cr-x'"
 
     def test_aggregate_on_an_empty_design(self, toy_partitions):
         counts = aggregate_counts(ObservationSet.empty(), toy_partitions,

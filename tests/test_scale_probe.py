@@ -19,5 +19,7 @@ def test_smallest_size_prints_one_json_line():
     assert (record["size"], record["cells"], record["units"]) == (1, 10000, 80)
     assert record["nonoverlapping"] is True
     for key in ("simulate_grf_s", "build_study_design_s", "repair_overlaps_s",
-                "check_nonoverlap_s", "build_partitions_s", "peak_rss_mb"):
+                "check_nonoverlap_s", "build_partitions_s",
+                "fused_distance_prepare_s", "line_entries", "peak_rss_mb"):
         assert record[key] > 0, key
+    assert isinstance(record["line_entries"], int)
