@@ -17,9 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .geometry import StudyRegion
 
-# Kernel entries simulate_grf squares at a time (no second full-size array).
-_GRF_BLOCK = 1 << 20
-
 
 @dataclass(frozen=True, eq=False)
 class CovariateField:
@@ -144,6 +141,14 @@ def simulate_grf(region: StudyRegion, cfg: GPConfig,
     over the grid (an empirical rescale would blow up the degenerate
     flat-kernel case), and the field is centered to spatial mean zero.
     Deterministic given the seed.
+
+    The knots form an n x n lattice and the kernel factors by axis,
+    K(s, knot (l, m)) = ky(s_y, l) kx(s_x, m), so the field on the
+    (ny, nx) grid is ky C kx' for the (n, n) coefficients C: two
+    contractions with an (nx, n) and an (ny, n) kernel, no (cells, n^2)
+    array. Both are ``np.einsum`` calls without ``optimize``, which sum
+    in a fixed order and call no BLAS, so the field's bits do not depend
+    on the thread count.
     """
     if grid_resolution <= 0:
         raise ConfigError("grid_resolution must be positive")
@@ -153,40 +158,29 @@ def simulate_grf(region: StudyRegion, cfg: GPConfig,
     dy = region.height / ny
     xs = region.xmin + (np.arange(nx) + 0.5) * dx
     ys = region.ymin + (np.arange(ny) + 0.5) * dy
-    kx = np.linspace(region.xmin, region.xmax, cfg.n_knots)
-    ky = np.linspace(region.ymin, region.ymax, cfg.n_knots)
-
-    # Squared distance of cell (row j, column i) to knot (row l, column m)
-    # at [j * nx + i, l * n + m], from the axis vectors: a sum of two
-    # squares has the bits of the row sum over an (x, y) difference. Both
-    # terms are laid out over all knots first, so that the broadcast sum
-    # runs along rows of n * n.
     n = cfg.n_knots
-    K = np.tile((xs[:, None] - kx) ** 2, n)[None, :, :] \
-        + np.repeat((ys[:, None] - ky) ** 2, n, axis=1)[:, None, :]
-    K = K.reshape(nx * ny, n * n)
-    K *= -0.5
-    K /= cfg.kernel_range ** 2
-    np.exp(K, out=K)
+    kx = np.exp(-0.5 * (xs[:, None] - np.linspace(region.xmin, region.xmax, n))
+                ** 2 / cfg.kernel_range ** 2)
+    ky = np.exp(-0.5 * (ys[:, None] - np.linspace(region.ymin, region.ymax, n))
+                ** 2 / cfg.kernel_range ** 2)
 
-    rng = np.random.default_rng(cfg.seed)
-    coeff = rng.standard_normal(n * n)
-    raw = K @ coeff
+    # Knot (row l, column m) takes draw l * n + m.
+    coeff = np.random.default_rng(cfg.seed).standard_normal((n, n))
+    raw = np.einsum("jl,il->ji", ky, np.einsum("im,lm->il", kx, coeff))
     raw -= raw.mean()
     # Rescale the centered draw to the target spatial sd. A near-flat
     # kernel leaves essentially no spatial variation to rescale; amplifying
     # numerical residue there would be nonsense, so such draws keep their
-    # (near-constant) raw scale.
-    rows = max(1, _GRF_BLOCK // (n * n))
-    sq = [(K[i:i + rows] ** 2).sum(axis=1) for i in range(0, len(K), rows)]
-    pointwise = math.sqrt(float(np.concatenate(sq).mean()))
+    # (near-constant) raw scale. The mean over cells of sum_k K^2 is the
+    # product of the per-axis means of the squared kernel sums.
+    pointwise = math.sqrt(float((kx ** 2).sum(axis=1).mean()
+                                * (ky ** 2).sum(axis=1).mean()))
     sd_raw = float(raw.std())
     if sd_raw > 1e-4 * pointwise:
         raw *= cfg.marginal_sd / sd_raw
     else:
         raw *= cfg.marginal_sd / pointwise
-    return CovariateField(region.xmin, region.ymin, dx, dy,
-                          raw.reshape(ny, nx, 1))
+    return CovariateField(region.xmin, region.ymin, dx, dy, raw[:, :, None])
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xll", "yll", "cellsize", "nodata")

@@ -896,7 +896,9 @@ def loglik_derivatives(rp: RateParams, spec: LikelihoodSpec):
         hess[:k, :k] = Xc.T @ (X * term[:, None])
         hess[:k, k] = hess[k, :k] = Xc.T @ d_eta
         hess[:k, k + 1] = hess[k + 1, :k] = Xc.T @ d_theta
-        hess[k, k] = ce @ d_eta2
+        # Not a BLAS dot: threaded at this length, it is slow next to
+        # other busy processes and its bits depend on the thread count.
+        hess[k, k] = np.einsum("i,i->", ce, d_eta2)
         J = jac[p.observed[live]]
         hess -= (J * (p.n[live] / mu_obs[live] ** 2)[:, None]).T @ J
     return value, grad, hess

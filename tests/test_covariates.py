@@ -1,6 +1,9 @@
 """Covariate fields: GP simulation, evaluation, raster round trips."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,34 +89,47 @@ class TestSimulateGRFBits:
         StudyRegion(-5.0, 2.0, -4.2, 3.1)))
     @pytest.mark.parametrize("n_knots", (2, 5, 8, 13))
     def test_matches_difference_cube(self, region, n_knots):
-        """Every bit of the field, on offset and non-square regions."""
+        """The field to rounding, and its grid to the bit, on offset and
+        non-square regions. The reference sums over knots in a BLAS gemv,
+        whose bits no thread-free sum can give."""
         for resolution in (0.05, 0.02, 0.013):
             for seed in (0, 1):
                 cfg = GPConfig(n_knots=n_knots, kernel_range=0.15 * (seed + 1),
                                seed=seed)
                 field = simulate_grf(region, cfg, resolution)
                 values, dx, dy = _reference_grf(region, cfg, resolution)
-                assert field.values.tobytes() == values.tobytes()
+                assert field.values.shape == values.shape
+                assert np.abs(field.values - values).max() <= 1e-13
                 assert (field.x0, field.y0, field.dx, field.dy) == (
                     region.xmin, region.ymin, dx, dy)
 
-    @pytest.mark.parametrize("rows", (1, 7, 777))
-    def test_row_blocks_keep_every_bit(self, rows, monkeypatch):
-        """The squared kernel summed in blocks of any number of rows, the
-        last one short, gives the bits of the whole-array sum. A near-flat
-        kernel (range 1e3) takes its scale from that sum."""
-        region = StudyRegion(0.3, -1.2, 2.1, 0.1)
-        for n_knots, kernel_range in ((5, 0.15), (8, 0.15), (8, 1e3)):
-            cfg = GPConfig(n_knots=n_knots, kernel_range=kernel_range, seed=3)
-            monkeypatch.setattr(covariates, "_GRF_BLOCK", rows * n_knots ** 2)
-            field = simulate_grf(region, cfg, 0.013)
-            values, _, _ = _reference_grf(region, cfg, 0.013)
-            assert field.values.tobytes() == values.tobytes()
-
-    def test_default_study_field_is_one_block(self):
-        """The study's 100 x 100 grid with 8 x 8 knots takes one block, so
-        its set-up squares the kernel once, as a whole-array sum does."""
-        assert covariates._GRF_BLOCK // GPConfig().n_knots ** 2 >= 100 * 100
+    def test_bits_do_not_depend_on_blas_threads(self):
+        """Seeds 0-9 of the 5,850-cell field with 13 x 13 knots have the
+        same bytes under one and two OpenBLAS threads; a (cells, knots)
+        gemv's bits depend on the thread count at this shape."""
+        code = ("import hashlib\n"
+                "from fusedsdm.covariates import GPConfig, simulate_grf\n"
+                "from fusedsdm.geometry import StudyRegion\n"
+                "region = StudyRegion(0.3, -1.2, 2.1, 0.1)\n"
+                "h = hashlib.sha256()\n"
+                "for seed in range(10):\n"
+                "    field = simulate_grf(region, GPConfig(n_knots=13, "
+                "seed=seed), 0.02)\n"
+                "    assert field.n_cells == 5850\n"
+                "    h.update(field.values.tobytes())\n"
+                "print(h.hexdigest())")
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(covariates.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            digests.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestEvaluate:
@@ -276,3 +292,36 @@ class TestValidation:
     def test_field_rejects_nonfinite(self):
         with pytest.raises(ConfigError):
             CovariateField(0, 0, 0.5, 0.5, np.full((2, 2, 1), np.nan))
+
+    @pytest.mark.parametrize("call,error,text", (
+        (lambda tmp: CovariateField(0, 0, 0.5, 0.5, np.zeros((2, 2))),
+         ConfigError, "field values must have shape (ny, nx, q)"),
+        (lambda tmp: CovariateField(0, 0, 0.5, 0.0, np.zeros((2, 2, 1))),
+         ConfigError, "cell sizes must be positive"),
+        (lambda tmp: simulate_grf(StudyRegion.unit_square(), GPConfig(), 0.0),
+         ConfigError, "grid_resolution must be positive"),
+        (lambda tmp: ingest_raster([_raster(tmp, "1 1\n1\n")]),
+         DataError, "{tmp}/r.asc: expected 4 cell values, found 3"),
+        (lambda tmp: ingest_raster([]),
+         DataError, "no raster files given"),
+        (lambda tmp: write_raster(
+            CovariateField(0, 0, 0.5, 0.25, np.zeros((2, 2, 1))),
+            tmp / "w.asc"),
+         ConfigError, "raster format requires square cells"),
+        (lambda tmp: write_raster(
+            CovariateField(0, 0, 0.5, 0.5, np.zeros((2, 2, 1))),
+            tmp / "w.asc", covariate=1),
+         ConfigError, "field has no covariate index 1"),
+    ))
+    def test_bad_input_error_names_its_field(self, tmp_path, call, error,
+                                             text):
+        with pytest.raises(error) as exc:
+            call(tmp_path)
+        assert type(exc.value) is error
+        assert str(exc.value) == text.format(tmp=tmp_path)
+
+
+def _raster(tmp_path, body):
+    path = tmp_path / "r.asc"
+    write_demo_raster(path, body)
+    return path

@@ -594,6 +594,37 @@ class TestProjectedNewton:
         assert len(trials) > it - 1
         assert np.abs(x).max() < 1e-8
 
+    @pytest.mark.parametrize("case,reason", (
+        ("nan gradient", "non-finite derivatives"),
+        ("uphill gradient", "no descent"),
+        ("one iteration", "max-iter")))
+    def test_non_converged_exit_names_its_reason(self, case, reason):
+        """On sum sqrt(1 + x^2), which takes several iterations from
+        (0.5, -0.3): a NaN gradient stops at once; a gradient of the wrong
+        sign sends every trial uphill, so Armijo never holds; and
+        max_iter=1 stops before convergence. Each returns a point whose
+        value is not above the start's."""
+        lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+
+        def f(x):
+            return float(np.sqrt(1.0 + x * x).sum())
+
+        def value(x):
+            return x, f(x)
+
+        def derivatives(x):
+            r = np.sqrt(1.0 + x * x)
+            g = {"nan gradient": np.full(2, np.nan),
+                 "uphill gradient": -x / r}.get(case, x / r)
+            return f(x), g, np.diag(r ** -3)
+
+        start = np.array([0.5, -0.3])
+        x, fx, _, got = projected_newton(
+            value, derivatives, start, lo, hi,
+            max_iter=1 if case == "one iteration" else 100)
+        assert got == reason
+        assert fx == f(x) <= f(start)
+
 
 class TestFitSettings:
     """A setting that ``fit`` would ignore or crash on is refused by name."""
