@@ -8,7 +8,8 @@ call per Newton iteration, plus θ's curvature when θ is held at a bound),
 central-difference covariance and the reported point's value). The package
 itself is not changed. Per scenario the script prints one JSON line with the
 number of fits, their Newton iterations (``FitResult.iterations``), the
-three call counts and the fits' statuses:
+three call counts, the wall seconds spent in each of the three names
+(``seconds``, summed over the calls) and the fits' statuses:
 
     python3 scripts/fit_counts.py                       # 20 replicates
     python3 scripts/fit_counts.py --replicates 2 --grid-resolution 0.05
@@ -22,20 +23,28 @@ import collections
 import json
 import os
 import sys
+import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 COUNTED = ("loglik_derivatives", "loglik_terms", "loglik")
 
 
 def count(fs, replicates, grid_resolution=None):
-    """Per scenario, a dict of fits, iterations, call counts and statuses."""
+    """Per scenario, a dict of fits, iterations, call counts, seconds and
+    statuses."""
     estimation = fs.estimation
     calls = collections.defaultdict(collections.Counter)
+    seconds = collections.defaultdict(collections.Counter)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[args[1].scenario][name] += 1
-            return fn(*args, **kwargs)
+            scenario = args[1].scenario
+            calls[scenario][name] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[scenario][name] += time.perf_counter() - start
         return wrapper
 
     grid = {} if grid_resolution is None else {
@@ -57,6 +66,8 @@ def count(fs, replicates, grid_resolution=None):
         out.append({"scenario": scenario, "fits": len(rows),
                     "iterations": sum(r.get("iterations", 0) for r in rows),
                     **{name: calls[scenario][name] for name in COUNTED},
+                    "seconds": {name: seconds[scenario][name]
+                                for name in COUNTED},
                     "status": dict(sorted(collections.Counter(
                         r["status"] for r in rows).items()))})
     return out

@@ -264,8 +264,8 @@ def fit(spec: LikelihoodSpec, settings: FitSettings | None = None) -> FitResult:
     def derivatives(v):
         value, g, H = loglik_derivatives(rate(v), spec)
         t = _sigmoid(v[k + 1])
-        jac = np.r_[np.ones(k), _exp_clip(v[k]) * unit,
-                    (1.0 + 2.0 * _THETA_EPS) * t * (1.0 - t)]
+        jac = np.array([1.0] * k + [_exp_clip(v[k]) * unit,
+                                    (1.0 + 2.0 * _THETA_EPS) * t * (1.0 - t)])
         H = H * np.outer(jac, jac)
         H[k, k] += g[k] * jac[k]
         H[k + 1, k + 1] += g[k + 1] * jac[k + 1] * (1.0 - 2.0 * t)

@@ -60,35 +60,46 @@ _JITTER = 0.002
 _REPAIR_SWEEPS = 50
 
 
-def build_study_design(seed: int = 0) -> SurveyDesign:
-    """15 survey points and 65 traps on the unit square.
+def build_study_design(seed: int = 0,
+                       region: StudyRegion | None = None) -> SurveyDesign:
+    """15 survey points and 65 traps on the bounding box of ``region``
+    (default the unit square).
 
     Points sit on a 5x3 lattice (radius 0.04) and traps on a 13x5 lattice
-    (radius 0.02), jittered uniformly by ±0.002 from the seed. Both
-    middle rows lie at y = 0.5, where the lattices alone put 7 point-trap
-    pairs (p05-t27 through p09-t37) closer than the 0.06 that keeps their
-    regions disjoint, whatever the seed; the jitter can add an eighth
-    (p09-t38 for seed 3). So the repair pass, which pushes overlapping
-    pairs apart, is part of the design: it moves 14, 15 and 14 units for
-    seeds 0, 1 and 2.
+    (radius 0.02): lattice point i of n along an axis lies at
+    ``min + extent * (i + 0.5) / n``, jittered uniformly by ±0.002 from the
+    seed. On the unit square both middle rows lie at y = 0.5, where the
+    lattices alone put 7 point-trap pairs (p05-t27 through p09-t37) closer
+    than the 0.06 that keeps their regions disjoint, whatever the seed; the
+    jitter can add an eighth (p09-t38 for seed 3). So the repair pass,
+    which pushes overlapping pairs apart within the box, is part of the
+    design: it moves 14, 15 and 14 units for seeds 0, 1 and 2.
     """
+    box = (region or StudyRegion.unit_square()).bbox()
     rng = np.random.default_rng(seed)
     units = []
     for prefix, kind, nx, ny, radius in (("p", "point", 5, 3, POINT_RADIUS),
                                          ("t", "trap", 13, 5, TRAP_RADIUS)):
         k = 0
-        for y in (np.arange(ny) + 0.5) / ny:
-            for x in (np.arange(nx) + 0.5) / nx:
+        for y in _lattice(box[1], box[3], ny):
+            for x in _lattice(box[0], box[2], nx):
                 loc = np.array([x, y]) + rng.uniform(-_JITTER, _JITTER, 2)
                 units.append(SampledRegion(
                     SurveyUnit(f"{prefix}{k:02d}", kind, loc), radius))
                 k += 1
     design = SurveyDesign(tuple(units))
-    return _repair_overlaps(design)
+    return _repair_overlaps(design, box)
 
 
-def _repair_overlaps(design: SurveyDesign) -> SurveyDesign:
-    """Push apart any overlapping disk pairs along their connecting line.
+def _lattice(lo: float, hi: float, n: int) -> np.ndarray:
+    """n points, one at the middle of each of n equal parts of [lo, hi]."""
+    return lo + (hi - lo) * ((np.arange(n) + 0.5) / n)
+
+
+def _repair_overlaps(design: SurveyDesign,
+                     box=(0.0, 0.0, 1.0, 1.0)) -> SurveyDesign:
+    """Push apart any overlapping disk pairs along their connecting line,
+    keeping every unit in ``box`` = (xmin, ymin, xmax, ymax).
 
     Each sweep finds the overlapping pairs, then pushes them apart one by
     one in pair order, each from the positions the pushes before it left;
@@ -98,6 +109,7 @@ def _repair_overlaps(design: SurveyDesign) -> SurveyDesign:
     xy = np.array([r.unit.xy for r in regions], dtype=float).reshape(-1, 2)
     radius = np.array([r.radius for r in regions], dtype=float)
     moved = np.zeros(len(regions), dtype=bool)
+    lo, hi = np.array(box[:2], dtype=float), np.array(box[2:], dtype=float)
     for _ in range(_REPAIR_SWEEPS):
         pairs = overlap_pairs(xy, radius)
         if not len(pairs[0]):
@@ -110,8 +122,8 @@ def _repair_overlaps(design: SurveyDesign) -> SurveyDesign:
             d = float(np.sqrt((delta ** 2).sum()))
             direction = delta / d if d > 0 else np.array([1.0, 0.0])
             need = (radius[ia] + radius[ib] - d) / 2 + 1e-6
-            xy[ia] = np.clip(xy[ia] - need * direction, 0.0, 1.0)
-            xy[ib] = np.clip(xy[ib] + need * direction, 0.0, 1.0)
+            xy[ia] = np.clip(xy[ia] - need * direction, lo, hi)
+            xy[ib] = np.clip(xy[ib] + need * direction, lo, hi)
         moved[pairs[0]] = moved[pairs[1]] = True
     raise ConfigError("could not repair design overlaps")
 
@@ -156,7 +168,7 @@ class StudyConfig:
                 f"{', '.join(SCENARIO_ORDER)}, got {self.scenarios!r}")
         design = self.design
         if design is None:
-            design = build_study_design(self.root_seed)
+            design = build_study_design(self.root_seed, self.region)
             object.__setattr__(self, "design", design)
         ok, pairs = check_nonoverlap(design)
         if not ok:

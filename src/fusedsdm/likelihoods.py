@@ -376,22 +376,27 @@ class _GroupedTable:
         return np.exp(np.divide(self.levels, -phi))
 
     def weights(self, phi: float = 1.0, order: int = 0,
-                levels_exp: np.ndarray | None = None) -> list[np.ndarray]:
+                levels_exp: np.ndarray | None = None,
+                kept: tuple = ()) -> list[np.ndarray]:
         """Per-entry weights: ``w`` without distances; with them the run
         sums of w * (-d2)^j * exp(-d2/phi) for j = 0..order, the j-th
         derivatives in eta = 1/phi. ``levels_exp`` is ``level_weights(phi)``
-        when already at hand. exp of the same double gives the same bits,
+        and ``kept`` the sums for j < len(kept), when already at hand; only
+        the others are summed. exp of the same double gives the same bits,
         so the sums match those of exp(-d2/phi) taken per node."""
         if self.d2 is None:
             return [self.w]
         if levels_exp is None:
             levels_exp = self.level_weights(phi)
-        q = levels_exp[self.level]
+        q = np.take(levels_exp, self.level)
         q *= self.w
-        out = [np.add.reduceat(q, self.first)]
-        for _ in range(order):
-            q *= -self.d2
-            out.append(np.add.reduceat(q, self.first))
+        out = list(kept) or [np.add.reduceat(q, self.first)]
+        if order:
+            neg_d2 = np.negative(self.d2)
+            for j in range(1, order + 1):
+                q *= neg_d2
+                if j == len(out):
+                    out.append(np.add.reduceat(q, self.first))
         return out
 
     def group_sums(self, entry_values: np.ndarray) -> np.ndarray:
@@ -705,8 +710,9 @@ class _Prepared:
     number the touched field ``cells`` 0, 1, ..., and ``X`` holds their rows.
     The region entries come from ``design_tables``; the data's entries
     (one per location, or ``_line_nodes``' merged supports) follow them.
-    ``entry_group`` and ``entry_X`` hold the group and covariate row of
-    every entry of the three tables in turn.
+    ``entry_group`` holds the group of every entry of the three tables in
+    turn, and ``entry_XT`` their covariate rows as columns, one contiguous
+    (k x entries) row per covariate.
     """
 
     def __init__(self, spec: LikelihoodSpec):
@@ -734,7 +740,8 @@ class _Prepared:
         self.detected, self.undetected, self.captured = tables = [
             replace(table, cell=compact[table.cell]) for table in tables]
         self.entry_group = np.concatenate([t.group for t in tables])
-        self.entry_X = self.X[np.concatenate([t.cell for t in tables])]
+        self.entry_XT = np.ascontiguousarray(
+            self.X[np.concatenate([t.cell for t in tables])].T)
         self.observed = np.flatnonzero(n)
         self.n, self.m = n[self.observed], m[self.observed]
         self._recent_phi = []
@@ -742,18 +749,19 @@ class _Prepared:
     def detection(self, phi: float, order: int = 0) -> tuple:
         """``detected.weights(phi, order)``, kept for the last
         ``_RECENT_PHI`` phi values computed, told apart by their bits (0.0 from
-        -0.0). An entry keeps its level exponentials, so a higher order at
-        a kept phi adds the run sums without taking exp again. Entries are
-        replaced, never changed, and their arrays are read-only: threads
-        racing on one spec can only lose an entry and compute it again."""
+        -0.0). An entry keeps its level exponentials and run sums, so a
+        higher order at a kept phi sums only the orders it lacks, without
+        taking exp again. Entries are replaced, never changed, and their
+        arrays are read-only: threads racing on one spec can only lose an
+        entry and compute it again."""
         key = struct.pack("d", phi)
         recent = self._recent_phi
         hit = next((entry for entry in recent if entry[0] == key), None)
         if hit is not None and len(hit[2]) > order:
             return hit[2]
-        levels_exp = (self.detected.level_weights(phi) if hit is None
-                      else hit[1])
-        sums = tuple(self.detected.weights(phi, order, levels_exp))
+        levels_exp, kept = ((self.detected.level_weights(phi), ())
+                            if hit is None else hit[1:])
+        sums = tuple(self.detected.weights(phi, order, levels_exp, kept))
         for a in (levels_exp, *sums):
             a.flags.writeable = False
         self._recent_phi = [(key, levels_exp, sums)] + [
@@ -824,13 +832,31 @@ class LoglikTerms:
         return v if np.isfinite(v) else _BIG_NEGATIVE
 
 
+def _group_mu(p: _Prepared, D: np.ndarray, U: np.ndarray, T: np.ndarray,
+              theta: float) -> np.ndarray:
+    """mu_g = D_g + U_g + theta T_g from the tables' entry terms, in that
+    order. An empty table adds nothing, and is skipped: the sums start at
+    +0.0 and so are never -0.0, and x + 0.0 is x."""
+    mu = (p.detected.group_sums(D) if len(D)
+          else np.zeros(p.detected.n_groups))
+    if len(U):
+        mu += p.undetected.group_sums(U)
+    if len(T):
+        mu += theta * p.captured.group_sums(T)
+    return mu
+
+
 def _terms(p: _Prepared, mu: np.ndarray, phi: float) -> LoglikTerms:
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = np.maximum(mu[p.observed] / p.m, _FLOOR)
-        # +inf once phi underflows to 0.
-        distance = float((p.obs_d2 / phi).sum())
-        observation = (float(np.sum(p.n * np.log(mean))) - distance
-                       - p.log_n_factorial)
+    """The value's two halves from ``mu``; runs under its caller's
+    ``errstate``."""
+    mean = mu[p.observed]
+    mean /= p.m
+    np.maximum(mean, _FLOOR, out=mean)
+    np.log(mean, out=mean)
+    mean *= p.n
+    # +inf once phi underflows to 0.
+    distance = float((p.obs_d2 / phi).sum()) if len(p.obs_d2) else 0.0
+    observation = float(mean.sum()) - distance - p.log_n_factorial
     return LoglikTerms(observation, float(mu[:p.n_exposed].sum()))
 
 
@@ -842,10 +868,12 @@ def loglik_terms(wp: WorkingParams | RateParams,
     phi, theta = wp.phi, _sigmoid(wp.logit_theta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.exp(p.X @ wp.beta)
-        mu = (p.detected.group_sums(p.detection(phi)[0]
-                                    * lam[p.detected.cell])
-              + p.undetected.sums(lam) + theta * p.captured.sums(lam))
-    return _terms(p, mu, phi)
+        D, U, T = (lam[t.cell] for t in (p.detected, p.undetected,
+                                         p.captured))
+        D *= p.detection(phi)[0]
+        U *= p.undetected.w
+        T *= p.captured.w
+        return _terms(p, _group_mu(p, D, U, T, theta), phi)
 
 
 def loglik_derivatives(rp: RateParams, spec: LikelihoodSpec):
@@ -859,48 +887,70 @@ def loglik_derivatives(rp: RateParams, spec: LikelihoodSpec):
     ones, the gradient is sum_g c_g mu_g' and the Hessian
     sum_g c_g mu_g'' - sum_obs n_g mu_g' mu_g'^T / mu_g^2; groups at the
     floor add nothing, as to the value.
+
+    Per-entry products take the contiguous rows of ``entry_XT``. A gemm or
+    gemv on a (k x entries) layout, or over only a vector's nonzero span,
+    takes another kernel path and moves the last bits; so the BLAS
+    operands are row-major (entries x k), filled a column at a time, and
+    the eta and theta vectors keep their zeros outside the detected and
+    captured spans.
     """
     p = spec.prepared()
     theta, k = _sigmoid(rp.logit_theta), p.X.shape[1]
-    tables = (p.detected, p.undetected, p.captured)
+    detected, undetected, captured = p.detected, p.undetected, p.captured
+    group, XT = p.entry_group, p.entry_XT
+    size, n_det = len(group), len(detected.group)
+    tail = n_det + len(undetected.group)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.exp(p.X @ rp.beta)
-        lam_d, lam_u, lam_c = (lam[t.cell] for t in tables)
+        lam_d = lam[detected.cell]
         w0, w1, w2 = p.detection(rp.phi, 2)
-        D, U, T = w0 * lam_d, p.undetected.w * lam_u, p.captured.w * lam_c
-        mu = (p.detected.group_sums(D) + p.undetected.group_sums(U)
-              + theta * p.captured.group_sums(T))
+        # Per entry of the three tables: its term of mu, and that term's
+        # derivatives in eta (first and second) and theta.
+        term, d_eta, d_eta2, d_theta = (np.empty(size), np.zeros(size),
+                                        np.zeros(size), np.zeros(size))
+        D, U, T = term[:n_det], term[n_det:tail], d_theta[tail:]
+        np.multiply(w0, lam_d, out=D)
+        np.multiply(undetected.w, lam[undetected.cell], out=U)
+        np.multiply(captured.w, lam[captured.cell], out=T)
+        mu = _group_mu(p, D, U, T, theta)
+        np.multiply(T, theta, out=term[tail:])
+        np.multiply(w1, lam_d, out=d_eta[:n_det])
+        np.multiply(w2, lam_d, out=d_eta2[:n_det])
         value = _terms(p, mu, rp.phi).total
         c = np.zeros(len(mu))
         c[:p.n_exposed] = -1.0
         mu_obs = mu[p.observed]
         live = mu_obs / p.m > _FLOOR
-        c[p.observed[live]] += p.n[live] / mu_obs[live]
+        rows, n_live, mu_live = p.observed[live], p.n[live], mu_obs[live]
+        c[rows] += n_live / mu_live
 
-        # Per entry of the three tables: its term of mu, and that term's
-        # derivatives in eta (first and second) and theta.
-        pad_du, pad_uc = np.zeros(len(D) + len(U)), np.zeros(len(U) + len(T))
-        term = np.concatenate([D, U, theta * T])
-        d_eta = np.concatenate([w1 * lam_d, pad_uc])
-        d_eta2 = np.concatenate([w2 * lam_d, pad_uc])
-        d_theta = np.concatenate([pad_du, T])
-        group, X = p.entry_group, p.entry_X
-        jac = np.column_stack([
-            np.bincount(group, col, len(mu))
-            for col in (*(X * term[:, None]).T, d_eta, d_theta)])
+        jac = np.empty((len(mu), k + 2))
+        Xt, Xc, row = np.empty((size, k)), np.empty((size, k)), np.empty(size)
+        ce = np.take(c, group)
+        for j in range(k):
+            np.multiply(XT[j], term, out=row)
+            jac[:, j] = np.bincount(group, row, len(mu))
+            Xt[:, j] = row
+            np.multiply(XT[j], ce, out=Xc[:, j])
+        # The padding only adds +0.0 to sums that start at +0.0.
+        jac[:, k] = np.bincount(detected.group, d_eta[:n_det], len(mu))
+        jac[:, k + 1] = np.bincount(captured.group, T, len(mu))
         grad = jac.T @ c
         grad[k] -= float(p.obs_d2.sum())
-        ce = c[group]
-        Xc = X * ce[:, None]
         hess = np.zeros((k + 2, k + 2))
-        hess[:k, :k] = Xc.T @ (X * term[:, None])
+        hess[:k, :k] = Xc.T @ Xt
         hess[:k, k] = hess[k, :k] = Xc.T @ d_eta
         hess[:k, k + 1] = hess[k + 1, :k] = Xc.T @ d_theta
         # Not a BLAS dot: threaded at this length, it is slow next to
         # other busy processes and its bits depend on the thread count.
         hess[k, k] = np.einsum("i,i->", ce, d_eta2)
-        J = jac[p.observed[live]]
-        hess -= (J * (p.n[live] / mu_obs[live] ** 2)[:, None]).T @ J
+        J = np.take(jac, rows, axis=0)
+        Jw = np.empty_like(J)
+        scale = n_live / mu_live ** 2
+        for j in range(k + 2):
+            np.multiply(J[:, j], scale, out=Jw[:, j])
+        hess -= Jw.T @ J
     return value, grad, hess
 
 

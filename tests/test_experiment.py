@@ -5,6 +5,8 @@ import importlib.util
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +149,20 @@ class TestStudyDesign:
         for ra, rb in zip(a.regions, b.regions):
             assert np.array_equal(ra.unit.xy, rb.unit.xy)
 
+    def test_lattices_follow_the_study_region(self):
+        """On the region (2, 1, 4, 2) the config's default design puts
+        every unit's reference point inside the region, with no two
+        regions overlapping."""
+        region = StudyRegion(2.0, 1.0, 4.0, 2.0)
+        design = StudyConfig(replicates=1, region=region).design
+        assert _coordinates(design) == _coordinates(
+            build_study_design(1, region))
+        assert len(design.regions) == 80
+        xy = np.array([r.unit.xy for r in design.regions])
+        assert region.contains(xy).all()
+        ok, pairs = check_nonoverlap(design)
+        assert ok, pairs
+
 
     def test_negative_root_seed_is_config_error(self, monkeypatch):
         """Refused by name before the design is built, where numpy would
@@ -203,6 +219,33 @@ class TestStudyDesign:
         config = StudyConfig(replicates=1,
                              scenarios=("fused-distance", "complete"))
         assert config.scenarios == ("fused-distance", "complete")
+
+
+class TestBlasThreads:
+    def test_study_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        """A 2-replicate default study on one worker writes the same
+        estimates, summary and boxplot bytes under one and two OpenBLAS
+        threads: the likelihood's entry-axis gemm and gemv products reach
+        every estimate and interval."""
+        code = ("import sys\n"
+                "from fusedsdm.experiment import StudyConfig, emit_reports, "
+                "run_study\n"
+                "emit_reports(run_study(StudyConfig(replicates=2, workers=1)),"
+                " sys.argv[1])\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            fusedsdm.__file__)))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", code,
+                            str(tmp_path / threads)], env=env, check=True,
+                           capture_output=True)
+        for name in ("estimates.csv", "summary.csv", "boxplot_data.csv"):
+            one, two = ((tmp_path / t / name).read_bytes()
+                        for t in ("1", "2"))
+            assert one.count(b"\n") > 1
+            assert one == two, name
 
 
 class TestCoverage:
@@ -303,9 +346,11 @@ class TestRunStudy:
         fits = []
         monkeypatch.setattr(exp, "fit",
                             lambda spec, *a, **k: fits.append(spec))
-        # The top row of points (p10-p14) lies above y = 0.5.
+        # The unit square's design: its top row of points (p10-p14) lies
+        # above y = 0.5.
         config = small_config(replicates=1,
-                              region=StudyRegion(0.0, 0.0, 1.0, 0.5))
+                              region=StudyRegion(0.0, 0.0, 1.0, 0.5),
+                              design=build_study_design(5))
         with pytest.raises(ConfigError, match="of unit 'p10'"):
             run_study(config)
         assert fits == []

@@ -1,4 +1,5 @@
-"""scripts/fit_counts.py: the likelihood calls of the default study's fits."""
+"""scripts/fit_counts.py: the likelihood calls of the default study's fits
+and the seconds they take."""
 
 import json
 import os
@@ -26,3 +27,7 @@ def test_one_replicate_prints_one_json_line_per_scenario():
         assert r["loglik_derivatives"] >= r["iterations"] >= 2
         assert r["loglik_terms"] >= 2
         assert r["loglik"] == 34
+        # Wall seconds spent in each wrapped name, summed over its calls.
+        assert set(r["seconds"]) == {"loglik_derivatives", "loglik_terms",
+                                     "loglik"}
+        assert all(s > 0 for s in r["seconds"].values())

@@ -1589,3 +1589,163 @@ class TestDetectionKernel:
             == [0.06, 0.05, 0.04, 0.03]
         prep.detection(0.02)
         assert calls == [0.02, 0.03, 0.04, 0.05, 0.06, 0.02]
+
+
+def _row_major_weights(table, phi, order):
+    """A table's entry weights, its detected run sums taken afresh."""
+    return [table.w] if table.d2 is None else _node_weights(table, phi, order)
+
+
+def _row_major_sums(table, values):
+    return np.bincount(table.group, weights=values, minlength=table.n_groups)
+
+
+def _row_major_halves(p, mu, phi):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = np.maximum(mu[p.observed] / p.m, likelihoods._FLOOR)
+        distance = float((p.obs_d2 / phi).sum())
+        observation = (float(np.sum(p.n * np.log(mean))) - distance
+                       - p.log_n_factorial)
+    return likelihoods.LoglikTerms(observation, float(mu[:p.n_exposed].sum()))
+
+
+def _row_major_terms(rp, spec):
+    """``loglik_terms`` as the row-major kernel took it."""
+    p = spec.prepared()
+    phi, theta = rp.phi, likelihoods._sigmoid(rp.logit_theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.exp(p.X @ rp.beta)
+        mu = (_row_major_sums(p.detected,
+                              _row_major_weights(p.detected, phi, 0)[0]
+                              * lam[p.detected.cell])
+              + _row_major_sums(p.undetected,
+                                p.undetected.w * lam[p.undetected.cell])
+              + theta * _row_major_sums(p.captured,
+                                        p.captured.w * lam[p.captured.cell]))
+    return _row_major_halves(p, mu, phi)
+
+
+def _row_major_derivatives(rp, spec):
+    """``loglik_derivatives`` as the row-major kernel took it: one (entries
+    x k) covariate array, every per-entry column padded to all entries,
+    and the detected run sums taken afresh."""
+    p = spec.prepared()
+    theta, k = likelihoods._sigmoid(rp.logit_theta), p.X.shape[1]
+    tables = (p.detected, p.undetected, p.captured)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.exp(p.X @ rp.beta)
+        lam_d, lam_u, lam_c = (lam[t.cell] for t in tables)
+        w0, w1, w2 = _row_major_weights(p.detected, rp.phi, 2)
+        D, U, T = w0 * lam_d, p.undetected.w * lam_u, p.captured.w * lam_c
+        mu = (_row_major_sums(p.detected, D) + _row_major_sums(p.undetected, U)
+              + theta * _row_major_sums(p.captured, T))
+        value = _row_major_halves(p, mu, rp.phi).total
+        c = np.zeros(len(mu))
+        c[:p.n_exposed] = -1.0
+        mu_obs = mu[p.observed]
+        live = mu_obs / p.m > likelihoods._FLOOR
+        c[p.observed[live]] += p.n[live] / mu_obs[live]
+
+        pad_du, pad_uc = np.zeros(len(D) + len(U)), np.zeros(len(U) + len(T))
+        term = np.concatenate([D, U, theta * T])
+        d_eta = np.concatenate([w1 * lam_d, pad_uc])
+        d_eta2 = np.concatenate([w2 * lam_d, pad_uc])
+        d_theta = np.concatenate([pad_du, T])
+        group = np.concatenate([t.group for t in tables])
+        X = p.X[np.concatenate([t.cell for t in tables])]
+        jac = np.column_stack([
+            np.bincount(group, col, len(mu))
+            for col in (*(X * term[:, None]).T, d_eta, d_theta)])
+        grad = jac.T @ c
+        grad[k] -= float(p.obs_d2.sum())
+        ce = c[group]
+        Xc = X * ce[:, None]
+        hess = np.zeros((k + 2, k + 2))
+        hess[:k, :k] = Xc.T @ (X * term[:, None])
+        hess[:k, k] = hess[k, :k] = Xc.T @ d_eta
+        hess[:k, k + 1] = hess[k + 1, :k] = Xc.T @ d_theta
+        hess[k, k] = np.einsum("i,i->", ce, d_eta2)
+        J = jac[p.observed[live]]
+        hess -= (J * (p.n[live] / mu_obs[live] ** 2)[:, None]).T @ J
+    return value, grad, hess
+
+
+@pytest.fixture(scope="module")
+def row_major_inputs(study_replicate_0, toy_field, toy_design):
+    """(spec, beta) by name: the five scenarios on default-study replicate 0
+    and on the demo fixture, two on a masked region, two whose captured
+    table is empty, and a trap-only spec whose detected and undetected
+    tables are."""
+    config, field, partitions, (obs, partial, counts) = study_replicate_0
+    inputs = {f"study {s}": (_build_spec(
+        s, config.design, field, config.region, partitions, config.quadrature,
+        obs, partial, counts), (9.0, 1.0)) for s in SCENARIOS}
+    design = load_design(os.path.join(FIXTURES, "design.csv"))
+    demo_field = ingest_raster([os.path.join(FIXTURES, "covariate.asc")])
+    region = region_of(demo_field)
+    demo_obs = load_observations(os.path.join(FIXTURES, "observations.csv"))
+    demo_partitions = build_partitions(region, 4, 2, design)
+    demo_counts = aggregate_counts(demo_obs, demo_partitions, design)
+    inputs.update((f"demo {s}", (_build_spec(
+        s, design, demo_field, region, demo_partitions, QuadratureSettings(),
+        demo_obs, demo_obs, demo_counts), (6.0, 1.0))) for s in SCENARIOS)
+    masked = StudyRegion(0.0, 0.0, 1.0, 1.0, mask=(
+        (0.2, 0.0), (1.0, 0.0), (1.0, 1.0), (0.2, 1.0)))
+    ds_obs = _ds_obs(["pt"] * 5 + ["tr"] * 3,
+                     [0.0, 0.05, 0.15, 0.2, 0.21, 0.0, 0.07, 0.15])
+    ds_only = SurveyDesign(toy_design.ds_regions)
+    for s in ("fused-region", "fused-distance"):
+        inputs[f"masked {s}"] = (LikelihoodSpec(
+            s, toy_design, toy_field, obs=ds_obs, region=masked), (3.0, 0.7))
+        inputs[f"no captured {s}"] = (LikelihoodSpec(
+            s, ds_only, toy_field, obs=ds_obs), (3.0, 0.7))
+    trap = SurveyDesign((SampledRegion(
+        SurveyUnit("t0", "trap", np.array([0.5, 0.5])), 0.1),))
+    inputs["trap-only complete"] = (LikelihoodSpec(
+        "complete", trap, CovariateField(0, 0, 0.25, 0.25,
+                                         np.zeros((4, 4, 0))),
+        obs=ObservationSet(ds_unit=np.array([], dtype=object),
+                           ds_distance=np.array([]),
+                           cr_unit=np.array(["t0"], dtype=object),
+                           ds_loc=np.zeros((0, 2)),
+                           cr_loc=np.array([[0.52, 0.5]])),
+        quadrature=QuadratureSettings(spacing=0.002)), (0.0,))
+    return inputs
+
+
+class TestColumnMajorKernel:
+    """``loglik_terms`` and ``loglik_derivatives`` give the bits of the
+    row-major kernel (a copy of it above), at a phi first kept by a value
+    call and then extended, at a phi never seen, at eta = 0 and at
+    eta = 1e6."""
+
+    # (eta, logit theta, call), evaluated in this order on a fresh spec.
+    STEPS = ((40.0, -1.4, "terms"), (40.0, -1.4, "derivatives"),
+             (40.0, 2.0, "derivatives"), (40.0, 2.0, "terms"),
+             (57.3, -1.4, "derivatives"), (57.3, 0.3, "terms"),
+             (0.0, -1.4, "derivatives"), (0.0, 2.0, "terms"),
+             (1e6, 2.0, "terms"), (1e6, -1.4, "derivatives"))
+
+    @pytest.mark.parametrize("name", [
+        *(f"{d} {s}" for d in ("study", "demo") for s in SCENARIOS),
+        *(f"{m} {s}" for m in ("masked", "no captured")
+          for s in ("fused-region", "fused-distance")),
+        "trap-only complete"])
+    def test_bits_match_the_row_major_kernel(self, name, row_major_inputs):
+        spec, beta = row_major_inputs[name]
+        spec = dataclasses.replace(spec)
+        p = spec.prepared()
+        if name.startswith("no captured"):
+            assert len(p.captured.group) == 0
+        if name == "trap-only complete":
+            assert len(p.detected.group) == len(p.undetected.group) == 0
+        for eta, logit_theta, call in self.STEPS:
+            rp = RateParams(np.array(beta), eta, logit_theta)
+            if call == "terms":
+                got, want = loglik_terms(rp, spec), _row_major_terms(rp, spec)
+                assert _hex(got.observation, got.exposure) == _hex(
+                    want.observation, want.exposure), (eta, call)
+            else:
+                got = loglik_derivatives(rp, spec)
+                want = _row_major_derivatives(rp, spec)
+                assert _hex(*got) == _hex(*want), (eta, call)
