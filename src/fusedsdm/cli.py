@@ -184,9 +184,11 @@ def _quad_from(cfg: dict) -> QuadratureSettings:
     return QuadratureSettings(**kwargs)
 
 
-def _design_from(src: str, seed: int):
+def _design_from(src: str, seed: int, region: StudyRegion):
+    """The design file ``src``, or ``study-default``'s lattices laid on
+    ``region``."""
     if src == "study-default":
-        design = build_study_design(seed)
+        design = build_study_design(seed, region)
     else:
         if not os.path.exists(src):
             raise ConfigError(f"design file not found: {src}")
@@ -212,7 +214,7 @@ def cmd_simulate(cfg: dict) -> int:
     seed = _seed(cfg)
     region = _region_from(cfg)
     truth = _truth_from(cfg)
-    design = _design_from(cfg.get("design", "study-default"), seed)
+    design = _design_from(cfg.get("design", "study-default"), seed, region)
     if cfg.get("raster"):
         field = _field_from(cfg["raster"])
     else:
@@ -251,10 +253,9 @@ def _spec_from_files(cfg: dict):
     obs_path = _require(cfg, "observations")
     if not os.path.exists(obs_path):
         raise ConfigError(f"observations file not found: {obs_path}")
-    design = _design_from(_require(cfg, "design"),
-                          _seed(cfg))
     field = _field_from(_require(cfg, "raster"))
     region = region_of(field)
+    design = _design_from(_require(cfg, "design"), _seed(cfg), region)
     obs = load_observations(obs_path)
     partitions = build_partitions(region, *_partitions_from(cfg), design)
     counts = aggregate_counts(obs, partitions, design)
@@ -314,7 +315,8 @@ def _study_config_from(cfg: dict) -> StudyConfig:
     kwargs = {"region": _region_from(cfg), "gp": _gp_from(cfg),
               "quadrature": _quad_from(cfg), "root_seed": seed}
     if cfg.get("design") not in (None, "study-default"):
-        kwargs["design"] = _design_from(cfg["design"], seed)
+        kwargs["design"] = _design_from(cfg["design"], seed,
+                                        kwargs["region"])
     if "truth" in cfg:
         kwargs["truth"] = _truth_from(cfg)
     if "partitions" in cfg:

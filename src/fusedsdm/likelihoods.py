@@ -39,8 +39,9 @@ replicate. The line supports are laid out as one row of template nodes
 per DS observation (``_line_nodes``), and each row is merged by sorting
 its own cells; only rows that reach past the study region or the field
 grid, and every row of a masked region, test their nodes one by one.
-Detected tables keep their nodes' distances, one run of nodes per entry,
-and sum w * exp(-d^2/phi) over each run before lambda multiplies it.
+Detected tables keep their nodes' distances, one run of nodes per entry;
+``_Prepared.detection`` alone sums w * exp(-d^2/phi) over each run before
+lambda multiplies it.
 lambda is computed only on the field cells that a spec's tables touch.
 The region entries depend on the design and not on the data
 (``design_tables``), so the process keeps the few most recently used, and
@@ -314,19 +315,19 @@ def _round_robin(size: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _GroupedTable:
-    """Quadrature nodes summed per group: w * lambda[cell] * exp(-d2/phi).
+    """Nodes summed per group, w * lambda[cell] * exp(-d2/phi): layout only.
 
     lambda is constant within a field cell, so ``merged`` joins the nodes
     into one entry per distinct (group, cell) (``cell``, ``group``), and
     lambda is gathered once per entry. Without ``d2`` an entry weighs the
     sum of its nodes' weights, and ``dealt`` joins such tables and deals
     their entries round-robin over the groups. With ``d2`` the nodes stay
-    (``w``, ``d2``), one run per entry starting at ``first``, and each
-    evaluation first sums their w * exp(-d2/phi) per run. The nodes of a
-    disk share their grid offsets, so few distinct distances recur:
-    exp(-d2/phi) is taken once per distinct value (``levels``, sorted) and
-    gathered to the nodes by ``level``. Every sum is taken in a fixed order,
-    so results are bitwise reproducible.
+    (``w``, ``d2``), one run per entry starting at ``first``, and
+    ``_Prepared.detection`` sums their w * exp(-d2/phi) per run. The nodes
+    of a disk share their grid offsets, so few distinct distances recur:
+    they are kept once each (``levels``, sorted) and indexed by ``level``.
+    Every sum is taken in a fixed order, so results are bitwise
+    reproducible.
     """
 
     cell: np.ndarray
@@ -370,42 +371,9 @@ class _GroupedTable:
         deal = _round_robin(np.bincount(group, minlength=n_groups))
         return cls(cell[deal], group[deal], n_groups, w[deal])
 
-    def level_weights(self, phi: float) -> np.ndarray:
-        """exp(-d2/phi) at each distinct distance; d2 / -phi is -(d2 / phi)
-        to the bit, in one pass."""
-        return np.exp(np.divide(self.levels, -phi))
-
-    def weights(self, phi: float = 1.0, order: int = 0,
-                levels_exp: np.ndarray | None = None,
-                kept: tuple = ()) -> list[np.ndarray]:
-        """Per-entry weights: ``w`` without distances; with them the run
-        sums of w * (-d2)^j * exp(-d2/phi) for j = 0..order, the j-th
-        derivatives in eta = 1/phi. ``levels_exp`` is ``level_weights(phi)``
-        and ``kept`` the sums for j < len(kept), when already at hand; only
-        the others are summed. exp of the same double gives the same bits,
-        so the sums match those of exp(-d2/phi) taken per node."""
-        if self.d2 is None:
-            return [self.w]
-        if levels_exp is None:
-            levels_exp = self.level_weights(phi)
-        q = np.take(levels_exp, self.level)
-        q *= self.w
-        out = list(kept) or [np.add.reduceat(q, self.first)]
-        if order:
-            neg_d2 = np.negative(self.d2)
-            for j in range(1, order + 1):
-                q *= neg_d2
-                if j == len(out):
-                    out.append(np.add.reduceat(q, self.first))
-        return out
-
     def group_sums(self, entry_values: np.ndarray) -> np.ndarray:
         return np.bincount(self.group, weights=entry_values,
                            minlength=self.n_groups)
-
-    def sums(self, lam: np.ndarray, phi: float = 1.0) -> np.ndarray:
-        """Per-group sums, with ``lam`` the intensity on the table's cells."""
-        return self.group_sums(self.weights(phi)[0] * lam[self.cell])
 
 
 @dataclass(frozen=True, eq=False)
@@ -747,21 +715,36 @@ class _Prepared:
         self._recent_phi = []
 
     def detection(self, phi: float, order: int = 0) -> tuple:
-        """``detected.weights(phi, order)``, kept for the last
-        ``_RECENT_PHI`` phi values computed, told apart by their bits (0.0 from
-        -0.0). An entry keeps its level exponentials and run sums, so a
-        higher order at a kept phi sums only the orders it lacks, without
-        taking exp again. Entries are replaced, never changed, and their
-        arrays are read-only: threads racing on one spec can only lose an
-        entry and compute it again."""
+        """The detected table's run sums of w * (-d2)^j * exp(-d2/phi),
+        j = 0..order (the j-th derivatives in eta = 1/phi), kept for the
+        last ``_RECENT_PHI`` phi values computed, told apart by their bits
+        (0.0 from -0.0).
+
+        exp(-d2/phi) is taken once per distinct distance (d2 / -phi is
+        -(d2 / phi) to the bit) and gathered to the nodes: exp of the same
+        double gives the same bits, so the sums match a per-node exp. An
+        entry keeps its level exponentials and run sums, so a higher order
+        at a kept phi sums only the orders it lacks. Entries are replaced,
+        never changed, and their arrays are read-only: threads racing on
+        one spec can only lose an entry and compute it again."""
         key = struct.pack("d", phi)
         recent = self._recent_phi
         hit = next((entry for entry in recent if entry[0] == key), None)
         if hit is not None and len(hit[2]) > order:
             return hit[2]
-        levels_exp, kept = ((self.detected.level_weights(phi), ())
+        t = self.detected
+        levels_exp, kept = ((np.exp(np.divide(t.levels, -phi)), ())
                             if hit is None else hit[1:])
-        sums = tuple(self.detected.weights(phi, order, levels_exp, kept))
+        q = np.take(levels_exp, t.level)
+        q *= t.w
+        sums = list(kept) or [np.add.reduceat(q, t.first)]
+        if order:
+            neg_d2 = np.negative(t.d2)
+            for j in range(1, order + 1):
+                q *= neg_d2
+                if j == len(sums):
+                    sums.append(np.add.reduceat(q, t.first))
+        sums = tuple(sums)
         for a in (levels_exp, *sums):
             a.flags.writeable = False
         self._recent_phi = [(key, levels_exp, sums)] + [

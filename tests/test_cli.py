@@ -1,5 +1,6 @@
 """Command-line interface: simulate, fit, experiment, predict-map."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,10 +13,16 @@ import pytest
 
 import fusedsdm
 from fusedsdm.cli import _gp_from, _section_from, _study_config_from, main
-from fusedsdm.covariates import GPConfig
-from fusedsdm.estimation import FitSettings
-from fusedsdm.experiment import StudyConfig
-from fusedsdm.covariates import ingest_raster
+from fusedsdm.covariates import GPConfig, ingest_raster, region_of
+from fusedsdm.estimation import FitSettings, fit
+from fusedsdm.experiment import (
+    StudyConfig,
+    _write_json,
+    emit_reports,
+    run_study,
+)
+from fusedsdm.geometry import StudyRegion, load_design
+from fusedsdm.likelihoods import LikelihoodSpec, QuadratureSettings
 from fusedsdm.pointprocess import degrade_to_partial, load_observations, save_observations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -131,6 +138,47 @@ class TestSimulate:
         assert obs.n >= 100  # hundreds of observations under study defaults
         printed = capsys.readouterr().out
         assert f"n_ds={obs.n_ds}" in printed and f"n_cr={obs.n_cr}" in printed
+
+    def test_study_default_design_follows_the_region(self, tmp_path):
+        """Without a design file the study design's lattices are laid on
+        the config's region, so every unit lies inside it and observes."""
+        out = tmp_path / "data"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            region=[2.0, 1.0, 4.0, 2.0],
+            truth={"beta": [6.0, 1.0], "phi": 0.025, "theta": 0.5},
+            gp={"n_knots": 6, "kernel_range": 0.3, "seed": 2},
+            grid_resolution=0.02,
+            seed=5,
+            out=str(out),
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        design = load_design(out / "design.csv")
+        region = StudyRegion(2.0, 1.0, 4.0, 2.0)
+        for r in design.regions:
+            lo, hi = r.unit.xy - r.radius, r.unit.xy + r.radius
+            assert region.contains(np.array([lo, hi])).all(), r.unit.id
+        obs = load_observations(out / "observations.csv")
+        assert obs.n_ds + obs.n_cr > 0
+
+    def test_reads_a_raster_in_place_of_the_field(self, sim_dir, tmp_path):
+        """With ``raster`` the field is read, not simulated: ``gp`` and
+        ``grid_resolution`` are ignored and the raster is written back."""
+        out = tmp_path / "data"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            design=os.path.join(FIXTURES, "design.csv"),
+            region=[0.0, 0.0, 1.2, 0.8],
+            raster=str(sim_dir / "covariate.asc"),
+            gp={"seed": 99},
+            grid_resolution=0.1,
+            truth={"beta": [5.0, 0.8], "phi": 0.002, "theta": 0.7},
+            out=str(out),
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        assert (out / "covariate.asc").read_bytes() == \
+            (sim_dir / "covariate.asc").read_bytes()
+        assert load_observations(out / "observations.csv").n > 0
 
 
 class TestFit:
@@ -251,7 +299,63 @@ class TestFit:
         assert not (tmp_path / "fit").exists()
 
 
+    def test_quad_mode_native_is_the_library_native_quadrature(
+            self, sim_dir, tmp_path):
+        """``quad_mode`` "native" gives the report of a fit with
+        ``QuadratureSettings(mode="native")``, not the default's."""
+        entries = dict(scenario="fused-region",
+                       observations=str(sim_dir / "observations.csv"),
+                       design=str(sim_dir / "design.csv"),
+                       raster=str(sim_dir / "covariate.asc"))
+        reports = {}
+        for mode in ("native", None):
+            out = tmp_path / str(mode)
+            cfg = write_config(tmp_path / f"{mode}.json", quad_mode=mode,
+                               out=str(out), **entries)
+            assert main(["fit", "--config", cfg]) == 0
+            reports[mode] = (out / "fit_report.json").read_bytes()
+        field = ingest_raster([entries["raster"]])
+        spec = LikelihoodSpec(
+            "fused-region", load_design(entries["design"]), field,
+            obs=load_observations(entries["observations"]),
+            region=region_of(field),
+            quadrature=QuadratureSettings(mode="native"))
+        _write_json(tmp_path / "library.json", fit(spec).report())
+        assert reports["native"] == (tmp_path / "library.json").read_bytes()
+        assert reports["native"] != reports[None]
+
+    def test_unknown_quad_mode_is_config_error(self, sim_dir, tmp_path,
+                                               capsys):
+        out = tmp_path / "fit"
+        cfg = write_config(tmp_path / "cfg.json", scenario="fused-region",
+                           observations=str(sim_dir / "observations.csv"),
+                           design=str(sim_dir / "design.csv"),
+                           raster=str(sim_dir / "covariate.asc"),
+                           quad_mode="exact", out=str(out))
+        assert main(["fit", "--config", cfg]) == 2
+        assert "unknown quadrature mode 'exact'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExperiment:
+    def test_design_file_is_the_study_design(self, tmp_path):
+        """``design`` names a file: the study runs on it, as
+        ``run_study`` does on the loaded design."""
+        design = os.path.join(FIXTURES, "design.csv")
+        entries = dict(replicates=1, seed=3, workers=1, grid_resolution=0.05,
+                       region=[0.0, 0.0, 1.2, 0.8],
+                       gp={"n_knots": 5, "kernel_range": 0.3, "seed": 8},
+                       truth={"beta": [5.0, 0.8], "phi": 0.002, "theta": 0.7})
+        cfg = write_config(tmp_path / "cfg.json", design=design,
+                           out=str(tmp_path / "cli"), **entries)
+        assert main(["experiment", "--config", cfg]) == 0
+        config = _study_config_from(entries)
+        config = dataclasses.replace(config, design=load_design(design))
+        emit_reports(run_study(config), tmp_path / "library")
+        for name in ("estimates.csv", "summary.csv", "boxplot_data.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "library" / name).read_bytes()
+
     def test_single_replicate_smoke_and_manifest_round_trip(self, tmp_path):
         out = tmp_path / "exp"
         cfg = write_config(
@@ -474,6 +578,51 @@ class TestNegativeSeeds:
         path = write_config(tmp_path / "cfg.json", **cfg)
         assert main([command, "--config", path]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command,entries,expected", (
+        ("simulate", '{"seed": 1,\n "out": }', "cfg.json:2: invalid JSON"),
+        ("simulate", "[1, 2]", "cfg.json: config must be a JSON object"),
+        ("simulate", {"out": None}, "missing required setting 'out'"),
+        ("simulate", {"truth": None}, "missing 'truth' with beta, phi, theta"),
+        ("simulate", {"truth": {"beta": [4.0, 0.5], "phi": 0.002}},
+         "truth is missing 'theta'"),
+        ("simulate", {"truth": {"beta": 4.0, "phi": 0.002, "theta": 0.5}},
+         "truth.beta must be a list of numbers"),
+        ("simulate", {"gp": 3}, "'gp' must be a JSON object"),
+        ("simulate", {"design": "{missing}"},
+         "design file not found: {missing}"),
+        ("fit", {"raster": "{missing}"}, "raster file not found: {missing}"),
+        ("simulate", {"raster": "{sim}/covariate.asc",
+                      "truth": {"beta": [4.0], "phi": 0.002, "theta": 0.5}},
+         "truth has 1 beta coefficients but the field provides 1 "
+         "covariates"),
+        ("fit", {"observations": "{missing}"},
+         "observations file not found: {missing}"),
+        ("predict-map", {"fit_report": "{missing}"},
+         "fit report not found: {missing}")),
+        ids=("json-syntax", "json-list", "out", "truth", "truth-key",
+             "truth-beta", "section", "design-file", "raster-file",
+             "beta-length", "observations-file", "fit-report-file"))
+    def test_config_error_names_its_input(self, command, entries, expected,
+                                          sim_dir, tmp_path, capsys):
+        """A malformed config file, a missing or malformed setting and a
+        missing input file exit 2 before any output, with a message that
+        names the file and line, the setting or the file."""
+        out = tmp_path / "out"
+        names = {"missing": str(tmp_path / "missing.file"), "sim": sim_dir}
+        path = tmp_path / "cfg.json"
+        if isinstance(entries, str):
+            path.write_text(entries)
+        else:
+            cfg = {**_valid_config(command, sim_dir, tmp_path, str(out)),
+                   **{key: value.format(**names) if isinstance(value, str)
+                      else value for key, value in entries.items()}}
+            write_config(path, **cfg)
+        assert main([command, "--config", str(path)]) == 2
+        assert expected.format(**names) in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -304,6 +304,10 @@ class TestValidation:
          DataError, "{tmp}/r.asc: expected 4 cell values, found 3"),
         (lambda tmp: ingest_raster([]),
          DataError, "no raster files given"),
+        (lambda tmp: ingest_raster(str(_raster(tmp, "1 1\n1\n"))),
+         DataError, "{tmp}/r.asc: expected 4 cell values, found 3"),
+        (lambda tmp: ingest_raster(_raster(tmp, "1 1\n1 1\nx\n")),
+         DataError, "{tmp}/r.asc: expected 4 cell values, found 5"),
         (lambda tmp: write_raster(
             CovariateField(0, 0, 0.5, 0.25, np.zeros((2, 2, 1))),
             tmp / "w.asc"),

@@ -315,6 +315,23 @@ class TestFit:
         assert "abundance" in report
         assert report["abundance"]["lambda_bar"] > 0
 
+    @pytest.mark.parametrize("scenario", ("fused-region", "fused-distance"))
+    def test_design_without_ds_units_says_phi_is_not_estimated(
+            self, scenario, toy_design, toy_field, toy_region, toy_data):
+        """With no DS unit phi does not enter the likelihood, and the fit's
+        message says so."""
+        traps = SurveyDesign(tuple(toy_design.cr_regions))
+        partial = toy_data["partial"]
+        obs = ObservationSet(ds_unit=np.array([], dtype=object),
+                             ds_distance=np.array([]),
+                             cr_unit=partial.cr_unit)
+        spec = LikelihoodSpec(scenario, traps, toy_field, obs=obs,
+                              region=toy_region)
+        result = fit(spec, settings=FitSettings(n_starts=1))
+        assert result.converged
+        assert "no DS distances, so phi does not enter the likelihood" in \
+            result.message.split("; ")
+
     def test_covariance_symmetric_nonnegative_diagonal(self, study_replicate):
         s = study_replicate
         spec = LikelihoodSpec("complete", s["design"], s["field"],

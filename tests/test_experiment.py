@@ -211,6 +211,21 @@ class TestStudyDesign:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             StudyConfig(**{name: value})
 
+    @pytest.mark.parametrize("kwargs,text", (
+        ({"replicates": 0}, "need at least one replicate"),
+        ({"design": SurveyDesign((
+            SampledRegion(SurveyUnit("a", "trap", np.array([0.5, 0.5])),
+                          0.02),
+            SampledRegion(SurveyUnit("b", "trap", np.array([0.53, 0.5])),
+                          0.02)))},
+         "study design has overlapping regions: [('a', 'b')]"),
+    ), ids=("replicates", "overlapping-design"))
+    def test_bad_study_config_error_names_its_field(self, kwargs, text):
+        with pytest.raises(ConfigError) as exc:
+            StudyConfig(**kwargs)
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == text
+
     def test_numpy_integers_accepted(self):
         config = StudyConfig(replicates=np.int64(2), workers=np.int32(1))
         assert config.replicates == 2
@@ -336,6 +351,42 @@ class TestRunStudy:
         assert "synthetic failure" in failed[0]["message"]
         others = [r for r in report.rows if r["scenario"] != "fused-region"]
         assert all(r["status"] != "error" for r in others)
+
+    def test_unconverged_and_covariance_free_fits_are_excluded(
+            self, monkeypatch):
+        """A fit that did not converge is a ``not_converged`` row and one
+        without a covariance a ``no_covariance`` row; neither enters the
+        summary's statistics, and both are counted as excluded."""
+        import dataclasses
+
+        import fusedsdm.experiment as exp
+
+        real_fit = exp.fit
+
+        def stubbed_fit(spec, *args, **kwargs):
+            result = real_fit(spec, *args, **kwargs)
+            if spec.scenario == "aggregated-farr":
+                return dataclasses.replace(result, converged=False)
+            if spec.scenario == "aggregated-cos":
+                return dataclasses.replace(result, covariance=None)
+            return result
+
+        monkeypatch.setattr(exp, "fit", stubbed_fit)
+        report = run_study(small_config(replicates=1))
+        status = {r["scenario"]: r["status"] for r in report.rows}
+        assert status == {"complete": "ok", "aggregated-farr": "not_converged",
+                          "aggregated-cos": "no_covariance",
+                          "fused-region": "ok", "fused-distance": "ok"}
+        cos = next(r for r in report.rows if r["scenario"] == "aggregated-cos")
+        assert "se_beta0" not in cos and "ci_beta0_lo" not in cos
+        summary = {e["scenario"]: e for e in report.summary}
+        for scenario in ("aggregated-farr", "aggregated-cos"):
+            entry = summary[scenario]
+            assert (entry["n_used"], entry["n_excluded"]) == (0, 1)
+            assert math.isnan(entry["beta0_mean"])
+            assert math.isnan(entry["lambda_bar_cp"])
+        assert (summary["complete"]["n_used"],
+                summary["complete"]["n_excluded"]) == (1, 0)
 
     def test_unit_outside_region_fails_before_any_fit(self, monkeypatch):
         """The design's quadrature is built before the replicates: a unit

@@ -808,3 +808,44 @@ class TestArrayPasses:
         xy, w, index, d2, measure = region_nodes([], spacing=[])
         assert xy.shape == (0, 2)
         assert len(w) == len(index) == len(d2) == len(measure) == 0
+
+
+def _design_file(tmp_path, row):
+    path = tmp_path / "design.csv"
+    path.write_text(f"id,kind,radius,geometry\np0,point,0.05,0.5 0.5\n{row}\n")
+    return path
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call,error,text", (
+        (lambda tmp: StudyRegion(0.0, 0.0, 0.0, 1.0),
+         ConfigError, "study region bounds must have positive extent"),
+        (lambda tmp: StudyRegion(0.0, 0.0, 1.0, 1.0,
+                                 mask=((0.0, 0.0), (1.0, 1.0))),
+         ConfigError, "mask polygon needs at least 3 vertices"),
+        (lambda tmp: StudyRegion(0.0, 0.0, 1.0, 1.0,
+                                 mask=((0.0, 0.0), (2.0, 0.0), (0.0, 1.0))),
+         ConfigError, "mask polygon must lie within the bounds"),
+        (lambda tmp: SurveyUnit("c", "circle", np.array([0.5, 0.5])),
+         ConfigError, "unknown unit kind 'circle'"),
+        (lambda tmp: SurveyDesign((
+            SampledRegion(point_unit(0.2, 0.2, "a"), 0.05),
+            SampledRegion(trap_unit(0.7, 0.7, "a"), 0.05))),
+         ConfigError, "duplicate unit ids in design"),
+        (lambda tmp: build_partitions(
+            StudyRegion.unit_square(), 0, 2,
+            SurveyDesign((SampledRegion(point_unit(0.5, 0.5), 0.05),))),
+         ConfigError, "partition counts must be >= 1"),
+        (lambda tmp: load_design(_design_file(tmp, "p1,point,0.05")),
+         DataError, "{tmp}/design.csv:3: expected 4 comma-separated fields"),
+        (lambda tmp: load_design(_design_file(tmp, "p1,point,0.05,0.5 x")),
+         DataError, "{tmp}/design.csv:3: bad geometry '0.5 x'"),
+    ), ids=("extent", "mask-vertices", "mask-bounds", "unit-kind",
+            "duplicate-ids", "partition-counts", "design-fields",
+            "design-geometry"))
+    def test_bad_input_error_names_its_field(self, tmp_path, call, error,
+                                             text):
+        with pytest.raises(error) as exc:
+            call(tmp_path)
+        assert type(exc.value) is error
+        assert str(exc.value) == text.format(tmp=tmp_path)

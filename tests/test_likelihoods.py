@@ -143,7 +143,7 @@ class TestCompleteScenario:
         wp = WorkingParams(np.array([0.0]), math.log(0.02), 0.0)
         # Group 0 is the trap region; lambda = 1 leaves its measure.
         prep = spec.prepared()
-        exposure = 0.5 * prep.captured.sums(np.ones(len(prep.cells)))[0]
+        exposure = 0.5 * prep.captured.group_sums(prep.captured.w)[0]
         assert loglik(wp, spec) == pytest.approx(math.log(0.5) - exposure)
 
     def test_requires_locations(self, toy_design, toy_field, toy_data):
@@ -182,7 +182,7 @@ class TestAggregatedScenarios:
                               partitions=partitions, region=region,
                               quadrature=QuadratureSettings(mode="native"))
         prep = spec.prepared()
-        area = prep.captured.sums(np.ones(len(prep.cells)))[0]
+        area = prep.captured.group_sums(prep.captured.w)[0]
         beta0 = math.log(2.0 / (theta * area))
         wp = WorkingParams(np.array([beta0]), math.log(0.02), 0.0)
         want = 2 * math.log(2) - 2 - math.log(2)
@@ -443,6 +443,49 @@ class TestQuadratureSettings:
     def test_positive_numpy_spacing_accepted(self):
         spacing = np.float32(0.002)
         assert QuadratureSettings(spacing=spacing).spacing == spacing
+
+
+def _with_unsampled_count(counts, partitions):
+    counts = np.array(counts)
+    counts[np.flatnonzero(~partitions.sampled)[0]] = 1
+    return counts
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call,error,text", (
+        (lambda t: WorkingParams.from_vector(np.array([1.0, 2.0])),
+         ConfigError,
+         "working vector needs >= 1 beta plus log_phi, logit_theta"),
+        (lambda t: QuadratureSettings(mode="exact"),
+         ConfigError, "unknown quadrature mode 'exact'"),
+        (lambda t: LikelihoodSpec("exact", t["design"], t["field"]),
+         ConfigError, "unknown scenario 'exact'"),
+        (lambda t: LikelihoodSpec("aggregated-farr", t["design"], t["field"],
+                                  partitions=t["partitions"]),
+         DataError,
+         "aggregated-farr needs per-cell counts and a partition grid"),
+        (lambda t: LikelihoodSpec("aggregated-cos", t["design"], t["field"],
+                                  counts=t["counts"][:-1],
+                                  partitions=t["partitions"]),
+         DataError, "counts length does not match the partition grid"),
+        (lambda t: LikelihoodSpec("aggregated-cos", t["design"], t["field"],
+                                  counts=_with_unsampled_count(
+                                      t["counts"], t["partitions"]),
+                                  partitions=t["partitions"]),
+         DataError, "nonzero count in an unsampled partition"),
+        (lambda t: LikelihoodSpec("fused-region", t["design"], t["field"]),
+         DataError, "fused-region needs an ObservationSet"),
+    ), ids=("working-vector", "quadrature-mode", "scenario", "counts",
+            "counts-length", "unsampled-count", "observations"))
+    def test_bad_input_error_names_its_field(self, call, error, text,
+                                             toy_design, toy_field,
+                                             toy_partitions, toy_data):
+        toy = {"design": toy_design, "field": toy_field,
+               "partitions": toy_partitions, "counts": toy_data["counts"]}
+        with pytest.raises(error) as exc:
+            call(toy)
+        assert type(exc.value) is error
+        assert str(exc.value) == text
 
 
 class TestSharedInvariants:
@@ -713,7 +756,10 @@ class TestMergedTables:
             want, n_pairs = _node_sums(lam, w, cell, group, n_groups)
             in_block = (table.group >= lo) & (table.group < lo + n_groups)
             assert np.count_nonzero(in_block) == n_pairs
-            got = table.sums(lam[prep.cells], phi)[lo:lo + n_groups]
+            w = prep.detection(phi)[0] if table is prep.detected \
+                else table.w
+            got = table.group_sums(w * lam[prep.cells][table.cell])
+            got = got[lo:lo + n_groups]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_hand_merge_with_empty_groups(self):
@@ -724,10 +770,12 @@ class TestMergedTables:
         assert sorted(zip(table.group.tolist(), table.cell.tolist(),
                           table.w.tolist())) == [(0, 0, 8.0), (0, 1, 2.0),
                                                  (2, 0, 5.0)]
-        assert table.sums(np.array([1.0, 10.0])).tolist() == [28.0, 0.0, 5.0, 0.0]
+        lam = np.array([1.0, 10.0])
+        assert table.group_sums(table.w * lam[table.cell]).tolist() == \
+            [28.0, 0.0, 5.0, 0.0]
         empty = _GroupedTable.merged(np.zeros(0), np.zeros(0, dtype=int),
                                      np.zeros(0, dtype=int), 2)
-        assert empty.sums(np.ones(1)).tolist() == [0.0, 0.0]
+        assert empty.group_sums(empty.w).tolist() == [0.0, 0.0]
 
     def test_distance_tables_keep_every_node(self, toy_field, toy_design,
                                              toy_region, toy_partitions,
@@ -1502,12 +1550,11 @@ class TestDetectionKernel:
                                                 toy_region, toy_partitions,
                                                 toy_data):
         for scenario in ("complete", "aggregated-farr", "aggregated-cos"):
-            table = make_toy_spec(scenario, toy_field, toy_design, toy_region,
-                                  toy_partitions, toy_data,
-                                  native).prepared().detected
+            prep = make_toy_spec(scenario, toy_field, toy_design, toy_region,
+                                 toy_partitions, toy_data, native).prepared()
             with np.errstate(all="ignore"):
-                got = table.weights(phi, 2)
-                want = _node_weights(table, phi, 2)
+                got = prep.detection(phi, 2)
+                want = _node_weights(prep.detected, phi, 2)
             assert _hex(*got) == _hex(*want)
 
     @pytest.mark.parametrize("native", (True, False))
@@ -1570,25 +1617,24 @@ class TestDetectionKernel:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_order_two_extends_a_kept_phi(self, toy_specs, monkeypatch):
-        """Order 2 at a phi kept at order 0 reuses its level exponentials;
-        a fifth phi evicts the oldest."""
+    def test_order_two_extends_a_kept_phi(self, toy_specs):
+        """Order 2 at a phi kept at order 0 reuses its level exponentials
+        and its order-0 sums; a fifth phi evicts the oldest."""
         prep = dataclasses.replace(toy_specs["complete"]).prepared()
-        calls = []
-        level_weights = _GroupedTable.level_weights
-        monkeypatch.setattr(_GroupedTable, "level_weights",
-                            lambda self, phi: calls.append(phi)
-                            or level_weights(self, phi))
-        assert len(prep.detection(0.02)) == 1
-        assert len(prep.detection(0.02, 2)) == 3
-        assert prep.detection(0.02) is prep.detection(0.02, 2)
-        assert calls == [0.02]
+        first = prep.detection(0.02)
+        assert len(first) == 1
+        _, levels_exp, _ = prep._recent_phi[0]
+        extended = prep.detection(0.02, 2)
+        assert len(extended) == 3 and extended[0] is first[0]
+        assert prep.detection(0.02) is extended
+        assert prep._recent_phi[0][1] is levels_exp
         for phi in (0.03, 0.04, 0.05, 0.06):
             prep.detection(phi)
         assert [struct.unpack("d", key)[0] for key, *_ in prep._recent_phi] \
             == [0.06, 0.05, 0.04, 0.03]
-        prep.detection(0.02)
-        assert calls == [0.02, 0.03, 0.04, 0.05, 0.06, 0.02]
+        again = prep.detection(0.02)
+        assert again[0] is not first[0]
+        assert prep._recent_phi[0][1] is not levels_exp
 
 
 def _row_major_weights(table, phi, order):

@@ -328,3 +328,21 @@ class TestModelParamsValidation:
     def test_theta_open_interval(self):
         with pytest.raises(ConfigError):
             ModelParams(np.array([0.0]), 0.025, 1.0)
+
+
+class TestObservationFileErrors:
+    @pytest.mark.parametrize("text,message", (
+        ("", "{path}: empty observation file"),
+        ("unit_id,source,distance\n",
+         "{path}: expected header starting 'source,unit_id,distance'"),
+        ("source,unit_id,distance,x\n", "{path}: unrecognized columns ['x']"),
+        ("source,unit_id,distance\nds,p0,0.01\ncr,t0\n",
+         "{path}:3: expected 3 fields"),
+    ), ids=("empty", "header", "columns", "fields"))
+    def test_error_names_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_observations(path)
+        assert type(exc.value) is DataError
+        assert str(exc.value) == message.format(path=path)
