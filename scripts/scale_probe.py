@@ -5,8 +5,9 @@ Size k takes the default study's grid at resolution 0.01 / k (10k, 40k and
 per side, radii and jitter divided by k (80, 320 and 1,280 units). Per size
 the script prints one JSON line: the median seconds of ``simulate_grf``,
 ``build_study_design`` (the jittered lattice and ``_repair_overlaps``),
-``_repair_overlaps`` alone, ``check_nonoverlap``, ``build_partitions`` and
-the fused-distance prepare of one simulated dataset (its design tables
+``_repair_overlaps`` alone, ``check_nonoverlap``, ``build_partitions``,
+``simulate_ippp`` and ``simulate_observation`` of one dataset, and the
+fused-distance prepare of one simulated dataset (its design tables
 already built) over a few repeats, that prepare's count of line-support
 entries, and the peak RSS of the process that ran that size.
 Each size runs in a fresh process, with one BLAS thread:
@@ -102,6 +103,13 @@ def probe(fs, size, repeats, seed=1):
         lambda: fs.geometry.build_partitions(
             config.region, config.partitions_nx, config.partitions_ny,
             design), repeats)
+    pp = fs.pointprocess
+    ippp_s, pattern = _median_seconds(
+        lambda: pp.simulate_ippp(config.truth, field, config.region, seed),
+        repeats)
+    observation_s, _ = _median_seconds(
+        lambda: pp.simulate_observation(pattern, design, config.truth, seed),
+        repeats)
     specs = fused_distance_specs(fs, config, field, design, seed, repeats)
     prepare_s, prepared = _median_seconds(lambda: specs.pop().prepared(),
                                           repeats)
@@ -110,6 +118,7 @@ def probe(fs, size, repeats, seed=1):
             "simulate_grf_s": grf_s, "build_study_design_s": design_s,
             "repair_overlaps_s": repair_s, "check_nonoverlap_s": check_s,
             "build_partitions_s": partitions_s,
+            "simulate_ippp_s": ippp_s, "simulate_observation_s": observation_s,
             "fused_distance_prepare_s": prepare_s,
             "line_entries": len(prepared.undetected.cell),
             "peak_rss_mb": resource.getrusage(

@@ -217,6 +217,12 @@ def cmd_simulate(cfg: dict) -> int:
     design = _design_from(cfg.get("design", "study-default"), seed, region)
     if cfg.get("raster"):
         field = _field_from(cfg["raster"])
+        if not field.covers(region):
+            raise ConfigError(
+                f"region {list(region.bbox())} does not lie within the "
+                f"extent {list(region_of(field).bbox())} of raster "
+                f"{cfg['raster']}"
+            )
     else:
         field = simulate_grf(region, _gp_from(cfg),
                              _number("grid_resolution",

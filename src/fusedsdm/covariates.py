@@ -77,7 +77,8 @@ class CovariateField:
         out = self.off_grid(pts[:, 0], pts[:, 1])
         if out.any():
             k = int(np.argmax(out))
-            raise DataError(f"location {tuple(pts[k])} is outside the field grid")
+            raise DataError(f"location {tuple(pts[k].tolist())} is outside "
+                            f"the field grid")
         return self.cell_of(pts[:, 0], pts[:, 1])
 
     def off_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -86,6 +87,11 @@ class CovariateField:
         eps = 1e-12
         return ((x < self.x0 - eps) | (x > self.xmax + eps)
                 | (y < self.y0 - eps) | (y > self.ymax + eps))
+
+    def covers(self, region: StudyRegion) -> bool:
+        """Whether no location of ``region``'s closed box lies ``off_grid``."""
+        return not self.off_grid(np.array([region.xmin, region.xmax]),
+                                 np.array([region.ymin, region.ymax])).any()
 
     def cell_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``cell_index`` of locations (x, y), arrays of one shape, that are

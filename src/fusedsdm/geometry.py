@@ -321,6 +321,21 @@ def _bounds(target) -> tuple[np.ndarray, np.ndarray]:
     return bbox[:2], bbox[2:]
 
 
+def _padded_boxes(xy, radius, regions=None):
+    """The bounding boxes (lo, hi) of disks centred at the rows of ``xy``
+    with ``radius``, or, where ``regions`` holds a strip, of that strip,
+    padded by a margin far above rounding; and the strip flags."""
+    lo = xy - radius[:, None]
+    hi = xy + radius[:, None]
+    strip = np.zeros(len(radius), dtype=bool)
+    if regions is not None:
+        strip[:] = [r.unit.kind == TRANSECT for r in regions]
+        for k in np.flatnonzero(strip):
+            lo[k], hi[k] = _bounds(regions[k])
+    pad = 1e-9 * max(np.abs(lo).max(), np.abs(hi).max())
+    return lo - pad, hi + pad, strip
+
+
 def _grid_nodes(target, layout, within: StudyRegion | None):
     """The nodes of one grid ``layout`` (per-axis arrays of shape (2,))
     that lie in ``target`` and ``within``, row by row, and their weights."""
@@ -605,16 +620,7 @@ def overlap_pairs(xy, radius, regions=None) -> tuple[np.ndarray, np.ndarray]:
     n = len(radius)
     if n < 2:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    lo = xy - radius[:, None]
-    hi = xy + radius[:, None]
-    strip = np.zeros(n, dtype=bool)
-    if regions is not None:
-        strip[:] = [r.unit.kind == TRANSECT for r in regions]
-        for k in np.flatnonzero(strip):
-            lo[k], hi[k] = _bounds(regions[k])
-    pad = 1e-9 * max(np.abs(lo).max(), np.abs(hi).max())
-    lo -= pad
-    hi += pad
+    lo, hi, strip = _padded_boxes(xy, radius, regions)
     # Box p of the sorted order meets in x the boxes q > p whose lower x
     # edge is at most its upper one: counts[p] of them, q = p + 1, ....
     order = np.argsort(lo[:, 0], kind="stable")
@@ -642,6 +648,113 @@ def overlap_pairs(xy, radius, regions=None) -> tuple[np.ndarray, np.ndarray]:
     i, j = (np.concatenate(h) for h in zip(*hits))
     back = np.lexsort((j, i))
     return i[back], j[back]
+
+
+def region_members(regions, pts: np.ndarray):
+    """Every membership of the (n, 2) locations ``pts`` in ``regions``: the
+    region index, the point index and the point's distance to the region's
+    unit, sorted by region and then by point.
+
+    Each pair decides membership and distance with the arithmetic of
+    ``SampledRegion.contains`` and ``distance_to_unit``, so that both keep
+    their bits. Only candidate pairs are tested: a point and a region whose
+    bounding box, padded far above rounding, meets the point's bucket of a
+    square grid. Pairs go in blocks of about n + k for k regions, so that
+    memory grows with the number of points and regions, not of pairs.
+    """
+    n, k = len(pts), len(regions)
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+              np.zeros(0))]
+    if n == 0 or k == 0:
+        return parts[0]
+    # One coordinate per contiguous array: numpy works a column of an
+    # (n, 2) array about twice as slowly.
+    x, y = np.ascontiguousarray(pts.T, dtype=float)
+    xy = np.array([(0.0, 0.0) if r.unit.kind == TRANSECT else r.unit.xy
+                   for r in regions], dtype=float)
+    cx, cy = np.ascontiguousarray(xy.T)
+    radius = np.array([r.radius for r in regions], dtype=float)
+    r2 = np.array([r.radius ** 2 for r in regions], dtype=float)
+    lo, hi, strip = _padded_boxes(xy, radius, regions)
+    # The bucket side is half the median box extent, widened so that the
+    # grid holds O(n + k) buckets. Bucket b along an axis takes the
+    # locations with (v - origin) / side + 1 in [b, b + 1), a monotone
+    # rounding of v, so a point in a box lies in one of its buckets. The
+    # first and last buckets along each axis hold no box: the points
+    # outside all boxes clip into them.
+    origin = lo.min(axis=0)
+    span = hi.max(axis=0) - origin
+    # A sort, as np.median imports numpy.ma (about 1 MB) on its first call.
+    side = max(0.5 * float(np.sort((hi - lo).max(axis=1))[k // 2]),
+               math.sqrt(span[0] * span[1] / (n + k)),
+               float(span.max()) / (n + k))
+    first = ((lo - origin) / side + 1.0).astype(np.intp)
+    extent = ((hi - origin) / side + 1.0).astype(np.intp) - first + 1
+    shape = (first + extent).max(axis=0) + 1
+    # Region j in each bucket its box meets, region by region; then the
+    # regions of each bucket in region order.
+    size = extent[:, 0] * extent[:, 1]
+    owner = np.repeat(np.arange(k), size)
+    at = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    bucket = ((first[owner, 1] + at // extent[owner, 0]) * shape[0]
+              + first[owner, 0] + at % extent[owner, 0])
+    owner = owner[np.argsort(bucket, kind="stable")]
+    per_bucket = np.bincount(bucket, minlength=shape[0] * shape[1])
+    start = np.cumsum(per_bucket) - per_bucket
+    ix, iy = (np.fmin(np.fmax((v - origin[a]) / side + 1.0, 0.0),
+                      shape[a] - 1).astype(np.intp)
+              for a, v in enumerate((x, y)))
+    cell = iy * shape[0] + ix
+    counts = per_bucket[cell]
+    point = np.flatnonzero(counts > 0)
+    if len(point) == 0:
+        return parts[0]
+    cell, counts = cell[point], counts[point]
+    ends = np.cumsum(counts)
+    on_strips = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))]
+    for rows in np.split(np.arange(len(point)), np.searchsorted(
+            ends, np.arange(n + k, ends[-1], n + k), side="right")):
+        c = counts[rows]
+        p = np.repeat(point[rows], c)
+        j = owner[np.arange(len(p))
+                  + np.repeat(start[cell[rows]] - (np.cumsum(c) - c), c)]
+        on_strip = strip[j]
+        pd, jd = (p, j) if not on_strip.any() else (p[~on_strip], j[~on_strip])
+        dx = x[pd] - cx[jd]
+        dy = y[pd] - cy[jd]
+        q = dx * dx + dy * dy
+        hit = q <= r2[jd]
+        parts.append((jd[hit], pd[hit], np.sqrt(q[hit])))
+        on_strips.append((j[on_strip], p[on_strip]))
+    # Each strip's candidates from every block, in point order, go to one
+    # call, so that its distances are one product over all its members,
+    # as in ``distance`` on them.
+    js, ps = (np.concatenate(v) for v in zip(*on_strips))
+    order = np.argsort(js, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
+        if len(run):
+            parts.append(_strip_members(regions, pts, js[run[0]], ps[run]))
+    j, p, d = (np.concatenate(part) for part in zip(*parts))
+    back = np.lexsort((p, j))
+    return j[back], p[back], d[back]
+
+
+def _strip_members(regions, pts, j, candidates):
+    """``region_members``' parts for strip j among the ascending point
+    indices ``candidates``: membership as ``contains`` on all of ``pts``,
+    distance as ``distance`` on the members.
+
+    numpy takes a one-row product through dot, whose bits can differ from
+    the rows of a longer product's gemv, so one candidate of several
+    points goes in twice. Membership then keeps the bits of ``contains`` on
+    all of ``pts`` as long as a gemv row's bits depend on neither the
+    number of rows nor its position, as on OpenBLAS.
+    """
+    reg = regions[j]
+    rows = candidates if len(candidates) > 1 or len(pts) == 1 \
+        else np.repeat(candidates, 2)
+    inside = candidates[reg.contains(pts[rows])[:len(candidates)]]
+    return (np.full(len(inside), j), inside, reg.distance(pts[inside]))
 
 
 def _strip_distance(a: SampledRegion, b: SampledRegion) -> float:

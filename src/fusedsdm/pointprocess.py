@@ -23,6 +23,7 @@ from .geometry import (
     _read_csv,
     _write_csv,
     check_nonoverlap,
+    region_members,
 )
 
 
@@ -96,35 +97,44 @@ def simulate_ippp(params: ModelParams, field: CovariateField,
                   region: StudyRegion, seed) -> IndividualPattern:
     """Draw N ~ Poisson(integral of lambda) and place individuals by
     rejection against the grid maximum of lambda (exact for the
-    piecewise-constant field)."""
+    piecewise-constant field).
+
+    Each batch of candidates takes its x, y and acceptance draws in that
+    order. Without a mask the region accepts every candidate, and when its
+    box lies on the grid the candidates' cells go unchecked.
+    """
     rng = np.random.default_rng(seed)
-    centers = field.cell_centers()
-    in_region = region.contains(centers)
-    lam_cells = np.exp(field.design_matrix() @ params.beta)
-    lam_cells = np.where(in_region, lam_cells, 0.0)
+    table = field.design_matrix()
+    lam_cells = np.exp(table @ params.beta)
+    lam_cells = np.where(region.contains(field.cell_centers()), lam_cells,
+                         0.0)
     total = float(lam_cells.sum() * field.cell_area)
     lam_max = float(lam_cells.max())
     n = int(rng.poisson(total))
     if n == 0 or lam_max == 0.0:
         return IndividualPattern(np.zeros((0, 2)))
-    accepted = []
+    # numpy draws lo + (hi - lo) * u with u <= 1 - 2**-53, which rounds to
+    # no more than hi: every candidate lies in the region's box.
+    unchecked = field.covers(region)
+    xs, ys = [], []
     remaining = n
     while remaining > 0:
         m = max(256, int(remaining * 1.5))
-        pts = np.column_stack([
-            rng.uniform(region.xmin, region.xmax, m),
-            rng.uniform(region.ymin, region.ymax, m),
-        ])
-        ok = region.contains(pts)
+        x = rng.uniform(region.xmin, region.xmax, m)
+        y = rng.uniform(region.ymin, region.ymax, m)
         u = rng.uniform(0.0, lam_max, m)
-        lam = np.exp(field.covariates_at(pts) @ params.beta)
-        ok &= u < lam
-        pts = pts[ok]
-        take = pts[:remaining]
-        if len(take):
-            accepted.append(take)
-            remaining -= len(take)
-    return IndividualPattern(np.vstack(accepted))
+        cells = (field.cell_of(x, y) if unchecked
+                 else field.cell_index(np.column_stack([x, y])))
+        # np.take gathers the rows several times faster than indexing.
+        ok = u < np.exp(np.take(table, cells, axis=0) @ params.beta)
+        if region.mask is not None:
+            ok &= region.contains(np.column_stack([x, y]))
+        take = np.flatnonzero(ok)[:remaining]
+        xs.append(x[take])
+        ys.append(y[take])
+        remaining -= len(take)
+    return IndividualPattern(np.column_stack([np.concatenate(xs),
+                                              np.concatenate(ys)]))
 
 
 def simulate_observation(pattern: IndividualPattern, design: SurveyDesign,
@@ -134,41 +144,29 @@ def simulate_observation(pattern: IndividualPattern, design: SurveyDesign,
     Requires a non-overlapping design so each individual is eligible for at
     most one unit. Detected DS individuals record the exact distance to
     their unit; captured CR individuals record the trap id.
+
+    The eligible individuals, from ``region_members``, take one uniform
+    draw each, unit by unit in design order and by index within a unit:
+    the same draws as one ``rng.random`` call per unit.
     """
     ok, pairs = check_nonoverlap(design)
     if not ok:
         raise ConfigError(f"design has overlapping regions: {pairs}")
     rng = np.random.default_rng(seed)
-    pts = pattern.locations
-    ds_unit, ds_dist, ds_loc = [], [], []
-    cr_unit, cr_loc = [], []
-    for reg in design.regions:
-        if pattern.n == 0:
-            break
-        inside = np.flatnonzero(reg.contains(pts))
-        if len(inside) == 0:
-            continue
-        if reg.is_ds:
-            d = reg.distance(pts[inside])
-            p = np.exp(-d ** 2 / params.phi)
-        else:
-            d = None
-            p = np.full(len(inside), params.theta)
-        hit = rng.random(len(inside)) < p
-        taken = inside[hit]
-        if reg.is_ds:
-            ds_unit.extend([reg.unit.id] * len(taken))
-            ds_dist.extend(d[hit].tolist())
-            ds_loc.extend(pts[taken].tolist())
-        else:
-            cr_unit.extend([reg.unit.id] * len(taken))
-            cr_loc.extend(pts[taken].tolist())
+    pts = np.asarray(pattern.locations, dtype=float).reshape(-1, 2)
+    unit, who, d = region_members(design.regions, pts)
+    is_ds = np.array([r.is_ds for r in design.regions], dtype=bool)[unit]
+    p = np.full(len(unit), params.theta)
+    p[is_ds] = np.exp(-d[is_ds] ** 2 / params.phi)
+    hit = rng.random(len(unit)) < p
+    ids = np.array([r.unit.id for r in design.regions], dtype=object)
+    ds, cr = hit & is_ds, hit & ~is_ds
     return ObservationSet(
-        ds_unit=np.array(ds_unit, dtype=object),
-        ds_distance=np.array(ds_dist, dtype=float),
-        cr_unit=np.array(cr_unit, dtype=object),
-        ds_loc=np.array(ds_loc, dtype=float).reshape(-1, 2),
-        cr_loc=np.array(cr_loc, dtype=float).reshape(-1, 2),
+        ds_unit=ids[unit[ds]],
+        ds_distance=d[ds],
+        cr_unit=ids[unit[cr]],
+        ds_loc=pts[who[ds]],
+        cr_loc=pts[who[cr]],
     )
 
 

@@ -1,4 +1,5 @@
-"""Brute-force reference implementations for the five log-likelihoods.
+"""Brute-force reference implementations for the five log-likelihoods,
+and the per-batch and per-unit loops of the two simulators.
 
 Everything here is written with plain Python loops over raw floats pulled
 out of the domain objects, sharing no computational code with the package:
@@ -10,6 +11,8 @@ midpoints), since both sides must discretize the same integrals.
 """
 
 import math
+
+import numpy as np
 
 
 def cell_of(field, x, y):
@@ -292,3 +295,78 @@ def oracle_aggregated(field, region, nx, ny, design, obs, beta, phi, theta,
         n = counts.get(j, 0)
         total += n * math.log(max(m, 1e-300)) - m - math.lgamma(n + 1.0)
     return total
+
+
+# Per-unit and per-batch references for the simulators. Unlike the
+# likelihood oracles above, these call the package's own per-point
+# arithmetic (``SampledRegion.contains`` and ``distance``,
+# ``StudyRegion.contains``, ``CovariateField.covariates_at``): the
+# simulators must reproduce their bits and their random draws, so only the
+# loop structure is the reference.
+
+def simulate_ippp_batches(params, field, region, seed):
+    """Locations of ``simulate_ippp`` by its batch loop: per batch, x, y
+    and acceptance draws, every candidate tested against the region and
+    looked up through the checked ``covariates_at``."""
+    rng = np.random.default_rng(seed)
+    in_region = region.contains(field.cell_centers())
+    lam_cells = np.exp(field.design_matrix() @ params.beta)
+    lam_cells = np.where(in_region, lam_cells, 0.0)
+    total = float(lam_cells.sum() * field.cell_area)
+    lam_max = float(lam_cells.max())
+    n = int(rng.poisson(total))
+    if n == 0 or lam_max == 0.0:
+        return np.zeros((0, 2))
+    accepted = []
+    remaining = n
+    while remaining > 0:
+        m = max(256, int(remaining * 1.5))
+        pts = np.column_stack([
+            rng.uniform(region.xmin, region.xmax, m),
+            rng.uniform(region.ymin, region.ymax, m),
+        ])
+        ok = region.contains(pts)
+        u = rng.uniform(0.0, lam_max, m)
+        lam = np.exp(field.covariates_at(pts) @ params.beta)
+        ok &= u < lam
+        take = pts[ok][:remaining]
+        if len(take):
+            accepted.append(take)
+            remaining -= len(take)
+    return np.vstack(accepted)
+
+
+def simulate_observation_per_unit(locations, design, phi, theta, seed):
+    """(ds_unit, ds_distance, cr_unit, ds_loc, cr_loc) of
+    ``simulate_observation`` by one ``contains`` test of every individual
+    and one ``rng.random`` call per unit, in design order."""
+    rng = np.random.default_rng(seed)
+    pts = locations
+    ds_unit, ds_dist, ds_loc = [], [], []
+    cr_unit, cr_loc = [], []
+    for reg in design.regions:
+        if len(pts) == 0:
+            break
+        inside = np.flatnonzero(reg.contains(pts))
+        if len(inside) == 0:
+            continue
+        if reg.is_ds:
+            d = reg.distance(pts[inside])
+            p = np.exp(-d ** 2 / phi)
+        else:
+            d = None
+            p = np.full(len(inside), theta)
+        hit = rng.random(len(inside)) < p
+        taken = inside[hit]
+        if reg.is_ds:
+            ds_unit.extend([reg.unit.id] * len(taken))
+            ds_dist.extend(d[hit].tolist())
+            ds_loc.extend(pts[taken].tolist())
+        else:
+            cr_unit.extend([reg.unit.id] * len(taken))
+            cr_loc.extend(pts[taken].tolist())
+    return (np.array(ds_unit, dtype=object),
+            np.array(ds_dist, dtype=float),
+            np.array(cr_unit, dtype=object),
+            np.array(ds_loc, dtype=float).reshape(-1, 2),
+            np.array(cr_loc, dtype=float).reshape(-1, 2))

@@ -180,6 +180,23 @@ class TestSimulate:
             (sim_dir / "covariate.asc").read_bytes()
         assert load_observations(out / "observations.csv").n > 0
 
+    def test_region_outside_the_raster_is_config_error(self, tmp_path,
+                                                      capsys):
+        """The default region, the unit square, reaches past the demo
+        raster's north edge (extent [0, 1.2] x [0, 0.8])."""
+        out = tmp_path / "never"
+        raster = os.path.join(FIXTURES, "covariate.asc")
+        cfg = write_config(
+            tmp_path / "cfg.json", raster=raster,
+            truth={"beta": [6.0, 0.8], "phi": 0.002, "theta": 0.7},
+            out=str(out))
+        assert main(["simulate", "--config", cfg]) == 2
+        extent = list(region_of(ingest_raster([raster])).bbox())
+        assert capsys.readouterr().err.strip() == (
+            f"config error: region [0.0, 0.0, 1.0, 1.0] does not lie within "
+            f"the extent {extent} of raster {raster}")
+        assert not out.exists()
+
 
 class TestFit:
     def test_fused_distance_report(self, sim_dir, tmp_path):

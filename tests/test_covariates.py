@@ -170,6 +170,20 @@ class TestEvaluate:
         with pytest.raises(DataError):
             toy_field.covariates_at(np.array([[1.4, 0.5]]))
 
+    def test_off_grid_message_prints_plain_floats(self, toy_field):
+        with pytest.raises(DataError) as exc:
+            toy_field.cell_index(np.array([[0.5, 0.5], [0.1, 1.25]]))
+        assert str(exc.value) == ("location (0.1, 1.25) is outside the "
+                                  "field grid")
+
+    def test_covers_a_region_up_to_the_fold_tolerance(self, toy_field):
+        """toy_field spans [0, 1] x [0, 1]; cell_index folds 1e-12 past
+        its edges into the edge cells."""
+        assert toy_field.covers(StudyRegion(0.0, 0.0, 1.0, 1.0))
+        assert toy_field.covers(StudyRegion(0.2, 0.3, 0.4, 1.0 + 5e-13))
+        assert not toy_field.covers(StudyRegion(0.0, 0.0, 1.0, 1.0 + 2e-12))
+        assert not toy_field.covers(StudyRegion(-0.1, 0.2, 0.5, 0.6))
+
     def test_native_grid_quadrature_consistency(self, toy_field):
         """Integrating any cellwise function on the native grid equals the
         exact cell sum."""

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2
+
+import oracles
 
 from fusedsdm.covariates import CovariateField
 from fusedsdm.errors import ConfigError, DataError
@@ -171,6 +174,209 @@ class TestSimulateObservation:
         with pytest.raises(ConfigError, match="overlap"):
             simulate_observation(IndividualPattern(np.zeros((0, 2))),
                                  design, params, 1)
+
+
+# A design of up to eight units, each in its own cell of a 4 x 4 lattice
+# over the unit square: disks of radius at most 0.1 and strips of
+# half-width at most 0.03 about polylines within 5/64 of the cell centre,
+# so that no two regions overlap. Coordinates are multiples of 1/64, so an
+# individual can sit exactly at distance r or on a vertex.
+@st.composite
+def lattice_designs(draw):
+    regions = []
+    for c in draw(st.lists(st.integers(0, 15), unique=True, max_size=8)):
+        centre = np.array([(c % 4 + 0.5) / 4, (c // 4 + 0.5) / 4])
+        kind = draw(st.sampled_from(("point", "trap", "transect")))
+        if kind == "transect":
+            steps = draw(st.lists(
+                st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                min_size=2, max_size=5, unique=True))
+            xy = centre + np.array(steps) / 64
+            radius = draw(st.sampled_from((1 / 64, 1 / 32, 0.03)))
+        else:
+            xy = centre
+            radius = draw(st.sampled_from((1 / 32, 1 / 16, 0.07, 0.1)))
+        regions.append(SampledRegion(SurveyUnit(f"u{c}", kind, xy), radius))
+    return SurveyDesign(tuple(regions))
+
+
+def boundary_points(design):
+    """Per unit, individuals on its boundary or its polyline: a disk's at
+    distance r along both axes, a strip's vertices and the points at
+    distance r from each segment's midpoint."""
+    pts = [np.zeros((0, 2))]
+    for reg in design.regions:
+        xy, r = reg.unit.xy, reg.radius
+        if reg.unit.kind != "transect":
+            pts.append(xy + np.array([[r, 0.0], [0.0, -r], [-r, 0.0]]))
+            continue
+        pts.append(xy)
+        seg = np.diff(xy, axis=0)
+        normal = np.column_stack([-seg[:, 1], seg[:, 0]])
+        normal /= np.sqrt((normal ** 2).sum(axis=1))[:, None]
+        pts.append(0.5 * (xy[:-1] + xy[1:]) + r * normal)
+    return np.vstack(pts)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        if a.dtype == object:
+            assert a.tolist() == b.tolist()
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+class TestAgainstPerUnitLoops:
+    """The simulators against the per-unit and per-batch loops in
+    ``oracles``: the same arrays, dtypes and random draws."""
+
+    @staticmethod
+    def _observe(locations, design, params, seed):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        obs = simulate_observation(IndividualPattern(locations), design,
+                                   params, rng)
+        want = oracles.simulate_observation_per_unit(
+            locations, design, params.phi, params.theta, ref_rng)
+        assert_same_arrays((obs.ds_unit, obs.ds_distance, obs.cr_unit,
+                            obs.ds_loc, obs.cr_loc), want)
+        assert rng.random() == ref_rng.random()
+        return obs
+
+    @settings(max_examples=120, deadline=None)
+    @given(design=lattice_designs(), seed=st.integers(0, 2 ** 32 - 1),
+           n_random=st.integers(0, 400), on_boundary=st.booleans(),
+           phi=st.sampled_from((5e-4, 2e-3, 0.05)))
+    @example(design=SurveyDesign(()), seed=0, n_random=0, on_boundary=False,
+             phi=2e-3)
+    def test_observation_matches_the_per_unit_loop(self, design, seed,
+                                                   n_random, on_boundary,
+                                                   phi):
+        rng = np.random.default_rng(seed)
+        parts = [rng.uniform(0.0, 1.0, (n_random, 2))]
+        if on_boundary:
+            parts.append(boundary_points(design))
+        locations = np.vstack(parts)
+        self._observe(locations, design, ModelParams(np.zeros(1), phi, 0.5),
+                      seed)
+
+    def test_boundary_individuals_are_members(self):
+        """Individuals at exactly distance r from a disk's centre and on a
+        transect's vertices are observed with probability one."""
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("p", "point", np.array([0.25, 0.25])),
+                          0.125),
+            SampledRegion(SurveyUnit("t", "transect", np.array(
+                [[0.5, 0.75], [0.625, 0.75], [0.625, 0.875]])), 0.0625),
+        ))
+        locations = np.array([[0.375, 0.25], [0.25, 0.125], [0.5, 0.75],
+                              [0.625, 0.75], [0.625, 0.875],
+                              [0.5625, 0.8125]])
+        obs = self._observe(locations, design,
+                            ModelParams(np.zeros(1), 1e300, 0.5), 3)
+        assert obs.ds_unit.tolist() == ["p", "p", "t", "t", "t", "t"]
+        assert obs.ds_distance.tolist() == [0.125, 0.125, 0.0, 0.0, 0.0,
+                                            0.0625]
+
+    def test_single_strip_candidate_has_the_whole_pattern_bits(self):
+        """numpy computes a one-row product by dot, whose last bit can
+        differ from gemv's: an individual at a strip's edge that is the
+        strip's only candidate is decided as in ``contains`` on the whole
+        pattern."""
+        a, b = np.array([0.1, 0.2]), np.array([0.7, 0.55])
+        design = SurveyDesign((SampledRegion(
+            SurveyUnit("t", "transect", np.array([a, b, [0.9, 0.3]])),
+            0.05),))
+        seg = b - a
+        normal = np.array([-seg[1], seg[0]]) / math.hypot(*seg)
+        t = np.random.default_rng(0).uniform(0.1, 0.9, 200)
+        params = ModelParams(np.zeros(1), 1e300, 0.5)
+        for edge in a + t[:, None] * seg + 0.05 * normal:
+            self._observe(np.array([edge, [0.0, 0.95]]), design, params, 1)
+
+    def test_strip_members_from_several_candidate_blocks(self):
+        """Three long parallel strips whose boxes all meet the middle of
+        the square: each individual there is a candidate of every strip,
+        so candidate pairs come in several blocks of about n + k. Each
+        block holds about one member of each strip, and each strip's
+        distances are still one product over all its members, as in the
+        per-unit loop: a one-row product's last bit often differs."""
+        ends = np.array([[[0.05, 0.39], [0.75, 0.95]],
+                         [[0.05, 0.09], [0.95, 0.81]],
+                         [[0.35, 0.03], [0.95, 0.51]]])
+        design = SurveyDesign(tuple(
+            SampledRegion(SurveyUnit(f"t{s}", "transect", xy), 0.05)
+            for s, xy in enumerate(ends)))
+        params = ModelParams(np.zeros(1), 1e300, 0.5)
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            groups = []
+            for _ in range(3):
+                # Halfway between the strips, 0.117 from each line.
+                t = rng.uniform(0.0, 0.15, 90)
+                upper = rng.random(90) < 0.5
+                x = np.where(upper, 0.3 + t, 0.55 + 1.65 * t)
+                groups.append(np.column_stack(
+                    [x, 0.8 * x + np.where(upper, 0.2, -0.1)]))
+                for a, b in ends:
+                    seg = b - a
+                    normal = np.array([-seg[1], seg[0]]) / math.hypot(*seg)
+                    groups.append((a + rng.uniform(0.3, 0.7) * seg
+                                   + rng.uniform(-0.04, 0.04) * normal)[None])
+            obs = self._observe(np.vstack(groups), design, params, 2)
+            assert obs.n == 9
+
+    def test_empty_pattern_draws_nothing(self):
+        design = SurveyDesign((
+            SampledRegion(SurveyUnit("p", "point", np.array([0.5, 0.5])),
+                          0.1),))
+        obs = self._observe(np.zeros((0, 2)), design,
+                            ModelParams(np.zeros(1), 0.01, 0.5), 7)
+        assert obs.n == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), q=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1), expected=st.integers(0, 3000),
+           region_kind=st.sampled_from(
+               ("grid", "exact", "inexact", "masked", "off-grid")))
+    def test_pattern_matches_the_batch_loop(self, data, n, q, seed,
+                                            expected, region_kind):
+        rng = np.random.default_rng(seed)
+        field = CovariateField(0.0, 0.0, 1.0 / n, 0.75 / n,
+                               rng.normal(size=(n, n, q)))
+        region = {
+            "grid": StudyRegion(0.0, 0.0, 1.0, 0.75),
+            "exact": StudyRegion(0.25, 0.125, 0.75, 0.5),
+            "masked": StudyRegion(0.0, 0.0, 1.0, 0.75, mask=(
+                (0.1, 0.0), (1.0, 0.3), (0.7, 0.75), (0.0, 0.5))),
+            "off-grid": StudyRegion(0.5, 0.25, 1.25, 0.75),
+        }.get(region_kind)
+        if region is None:
+            x0, x1 = sorted(data.draw(st.lists(
+                st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+            y0, y1 = sorted(data.draw(st.lists(
+                st.floats(0.0, 0.75), min_size=2, max_size=2, unique=True)))
+            region = StudyRegion(x0, y0, x1, y1)
+            assume(region.area > 1e-9)
+        beta = np.concatenate([[math.log(max(expected, 1) / region.area)],
+                               rng.uniform(-1.0, 1.0, q)])
+        params = ModelParams(beta, 0.01, 0.5)
+        outcomes = []
+        for run in (simulate_ippp, oracles.simulate_ippp_batches):
+            draws = np.random.default_rng(seed)
+            try:
+                got = run(params, field, region, draws)
+            except DataError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append(getattr(got, "locations", got))
+            outcomes.append(draws.random())
+        if isinstance(outcomes[0], str):
+            assert outcomes == [outcomes[0]] * 2
+            assert region_kind == "off-grid"
+        else:
+            assert_same_arrays(outcomes[:1], outcomes[2:3])
+            assert outcomes[1] == outcomes[3]
 
 
 class TestDegradeAndAggregate:
